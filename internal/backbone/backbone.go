@@ -138,16 +138,26 @@ func New(cfg core.Config, cells int, wireDelay time.Duration) (*Internet, error)
 	return NewWithOptions(cfg, Options{Cells: cells, WireDelay: wireDelay})
 }
 
-// NewWithOptions builds an Internet with full engine control. The
-// shared tracer cfg.Tracer, when set, receives the merged multi-cell
-// event stream in (time, cell, per-cell sequence) order, flushed at
-// deterministic points (every barrier in sharded mode, end of Run in
-// serial mode); the cumulative stream is byte-identical across engines.
-// Per-cell consumers (conformance checkers) should use
-// Options.CellTracer instead, which delivers events inline.
+// NewWithOptions builds an Internet with full engine control. With
+// more than one cell cfg.Scheduler must be nil; each cell then gets its
+// own round-robin scheduler. The shared tracer cfg.Tracer, when set,
+// receives the merged multi-cell event stream in (time, cell,
+// per-cell sequence) order, flushed at deterministic points (every
+// barrier in sharded mode, end of Run in serial mode); the cumulative
+// stream is byte-identical across engines. Per-cell consumers
+// (conformance checkers) should use Options.CellTracer instead, which
+// delivers events inline.
 func NewWithOptions(cfg core.Config, o Options) (*Internet, error) {
 	if o.Cells <= 0 {
 		return nil, fmt.Errorf("backbone: need at least one cell")
+	}
+	if cfg.Scheduler != nil && o.Cells > 1 {
+		// Every cell gets a copy of cfg, so a set scheduler would be one
+		// instance shared by all cells: stateful schedulers (round-robin
+		// keeps its last-served user) would couple the cells, and the
+		// sharded engine would race on them. Left nil, each cell gets
+		// its own default scheduler.
+		return nil, fmt.Errorf("backbone: Config.Scheduler must be nil for %d cells (one scheduler value cannot be shared across cells)", o.Cells)
 	}
 	if o.Sharded {
 		if o.WireDelay <= 0 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/core"
+	"github.com/osu-netlab/osumac/internal/sched"
 )
 
 func newInternet(t *testing.T, cells int) *Internet {
@@ -22,6 +23,30 @@ func TestNewValidation(t *testing.T) {
 	cfg := core.NewConfig()
 	if _, err := New(cfg, 0, 0); err == nil {
 		t.Fatal("zero cells accepted")
+	}
+}
+
+// TestSharedSchedulerRejected: a set Config.Scheduler would be one
+// instance copied into every cell, coupling their round-robin state
+// (and racing under sharding), so multi-cell construction refuses it; a
+// nil scheduler gives every cell its own.
+func TestSharedSchedulerRejected(t *testing.T) {
+	cfg := core.NewConfig()
+	cfg.Scheduler = sched.NewRoundRobin()
+	for _, sharded := range []bool{false, true} {
+		_, err := NewWithOptions(cfg, Options{Cells: 2, WireDelay: 10 * time.Millisecond, Sharded: sharded})
+		if err == nil {
+			t.Fatalf("sharded=%v: a scheduler shared by two cells was accepted", sharded)
+		}
+	}
+	if _, err := NewWithOptions(cfg, Options{Cells: 1}); err != nil {
+		t.Fatalf("one cell may own a set scheduler: %v", err)
+	}
+	in := newInternet(t, 3)
+	for c := 1; c < 3; c++ {
+		if in.Cell(c).Config().Scheduler == in.Cell(0).Config().Scheduler {
+			t.Fatalf("cells 0 and %d share a scheduler", c)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzCells/fuzzSubs fix the deployment shape; the fuzzer explores the
-// cross-cell send schedule within it.
+// cross-cell send schedule and the channel model within it.
 const (
 	fuzzCells = 3
 	fuzzSubs  = 2 // data subscribers per cell
@@ -20,11 +20,11 @@ const (
 // and every fourth byte also advances the clock by a Run segment, so
 // the fuzzer controls both the merge pressure (many sends at one
 // instant) and the phase structure (sends straddling Run boundaries).
-func fuzzOutcome(t *testing.T, schedule []byte, sharded bool) twinOutcome {
+func fuzzOutcome(t *testing.T, schedule []byte, channel twinChannel, sharded bool) twinOutcome {
 	t.Helper()
 	buf := &core.TraceBuffer{Cap: 1 << 20}
 	s := twinScenario{cells: fuzzCells, gps: 0, data: fuzzSubs, load: 0.5,
-		seed: 1331, wire: 45 * time.Millisecond}
+		seed: 1331, wire: 45 * time.Millisecond, channel: channel}
 	in := buildTwin(t, s, sharded, buf, nil)
 	var out twinOutcome
 	record := func(err error) {
@@ -67,23 +67,27 @@ func fuzzOutcome(t *testing.T, schedule []byte, sharded bool) twinOutcome {
 	return out
 }
 
-// FuzzShardExchange feeds randomized cross-cell send schedules to both
+// FuzzShardExchange feeds randomized cross-cell send schedules, on an
+// ideal, IID or Gilbert-Elliott channel (channel mod 3), to both
 // engines and requires byte-identical outcomes: metrics snapshots,
 // trace streams, exchange counters, latency sample order, and error
 // strings. Any scheduling-order leak in the barrier/merge machinery
 // shows up as a divergence here.
 func FuzzShardExchange(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x07, 0x2a, 0x93, 0xff})
-	f.Add([]byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01})
-	f.Add([]byte{0xf0, 0x0f, 0x55, 0xaa, 0x3c, 0xc3, 0x99, 0x66, 0x12, 0xed})
-	f.Fuzz(func(t *testing.T, schedule []byte) {
+	f.Add([]byte{}, uint8(chanIdeal))
+	f.Add([]byte{0x00}, uint8(chanIdeal))
+	f.Add([]byte{0x07, 0x2a, 0x93, 0xff}, uint8(chanIdeal))
+	f.Add([]byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01}, uint8(chanIdeal))
+	f.Add([]byte{0xf0, 0x0f, 0x55, 0xaa, 0x3c, 0xc3, 0x99, 0x66, 0x12, 0xed}, uint8(chanIdeal))
+	f.Add([]byte{0x07, 0x2a, 0x93, 0xff}, uint8(chanIID))
+	f.Add([]byte{0xf0, 0x0f, 0x55, 0xaa, 0x3c, 0xc3, 0x99, 0x66, 0x12, 0xed}, uint8(chanGE))
+	f.Fuzz(func(t *testing.T, schedule []byte, channel uint8) {
 		if len(schedule) > 24 {
 			schedule = schedule[:24] // bound per-exec simulated time
 		}
-		serial := fuzzOutcome(t, schedule, false)
-		sharded := fuzzOutcome(t, schedule, true)
+		ch := twinChannel(channel % uint8(numChannels))
+		serial := fuzzOutcome(t, schedule, ch, false)
+		sharded := fuzzOutcome(t, schedule, ch, true)
 		compareOutcomes(t, "fuzz sharded vs serial", serial, sharded)
 	})
 }

@@ -29,11 +29,48 @@ type twinScenario struct {
 	wire      time.Duration
 	lookahead time.Duration // 0: WireDelay
 	sends     int           // ring-pattern cross-cell messages
+	channel   twinChannel
 }
 
 func (s twinScenario) String() string {
-	return fmt.Sprintf("cells=%d gps=%d data=%d load=%.1f seed=%d wire=%v la=%v sends=%d",
-		s.cells, s.gps, s.data, s.load, s.seed, s.wire, s.lookahead, s.sends)
+	return fmt.Sprintf("cells=%d gps=%d data=%d load=%.1f seed=%d wire=%v la=%v sends=%d ch=%v",
+		s.cells, s.gps, s.data, s.load, s.seed, s.wire, s.lookahead, s.sends, s.channel)
+}
+
+// twinChannel is the grid's channel-model axis. On an ideal channel
+// every cycle stays on the compiled fast path; on a noisy one the
+// compiled table runs the slow wire handlers (RS corrections, decode
+// failures, retransmissions) interleaved with heap events every cycle.
+type twinChannel uint8
+
+const (
+	chanIdeal twinChannel = iota
+	chanIID
+	chanGE
+	numChannels
+)
+
+func (c twinChannel) String() string {
+	switch c {
+	case chanIID:
+		return "iid"
+	case chanGE:
+		return "ge"
+	}
+	return "ideal"
+}
+
+// apply installs the channel's error models on both links. The
+// Gilbert-Elliott parameters are the registration example's.
+func (c twinChannel) apply(cfg *core.Config) {
+	switch c {
+	case chanIID:
+		cfg.NewReverseModel = func() phy.ErrorModel { return phy.IID{P: 0.08} }
+		cfg.NewForwardModel = func() phy.ErrorModel { return phy.IID{P: 0.05} }
+	case chanGE:
+		cfg.NewReverseModel = func() phy.ErrorModel { return phy.NewGilbertElliott(0.004, 0.12, 0.0005, 0.6) }
+		cfg.NewForwardModel = func() phy.ErrorModel { return phy.NewGilbertElliott(0.002, 0.15, 0.0002, 0.6) }
+	}
 }
 
 // twinOutcome is everything a run exposes, in comparable form.
@@ -48,6 +85,7 @@ type twinOutcome struct {
 	sendErrs  []string
 	reports   []string // per-cell conformance reports
 	runErr    string
+	losses    uint64 // packets and control fields lost, mostly to the channel
 }
 
 // dataAddr returns the global address of data subscriber i in cell c.
@@ -59,6 +97,7 @@ func buildTwin(t *testing.T, s twinScenario, sharded bool, tracer core.Tracer, c
 	cfg := core.NewConfig()
 	cfg.Seed = s.seed
 	cfg.Tracer = tracer
+	s.channel.apply(&cfg)
 	if s.load > 0 && s.data > 0 {
 		dataSlots := phy.Format1DataSlots
 		if s.gps <= phy.Format2GPSSlots {
@@ -135,6 +174,8 @@ func runTwin(t *testing.T, s twinScenario, sharded bool) twinOutcome {
 			cellErr = err.Error()
 		}
 		out.cellErrs = append(out.cellErrs, cellErr)
+		m := in.Cell(c).Metrics()
+		out.losses += m.FragmentsLost.Value() + m.GPSLost.Value() + m.CFDecodeFailures.Value()
 		var rep strings.Builder
 		if err := checkers[c].Finish().WriteText(&rep); err != nil {
 			t.Fatal(err)
@@ -199,19 +240,27 @@ func compareOutcomes(t *testing.T, label string, a, b twinOutcome) {
 	}
 }
 
-// twinGrid is the differential battery's scenario grid.
+// twinGrid is the differential battery's scenario grid: every
+// deployment shape on every channel model.
 func twinGrid(short bool) []twinScenario {
-	grid := []twinScenario{
+	shapes := []twinScenario{
 		{cells: 2, gps: 1, data: 2, load: 0.5, seed: 1, warm: 4, main: 10, wire: 30 * time.Millisecond, sends: 4},
 		{cells: 3, gps: 2, data: 3, load: 0.8, seed: 42, warm: 4, main: 12, wire: 250 * time.Millisecond, sends: 9},
 		{cells: 4, gps: 0, data: 4, load: 1.0, seed: 8188083318138684029, warm: 5, main: 10, wire: phy.CycleLength, sends: 12},
 	}
 	if !short {
-		grid = append(grid,
+		shapes = append(shapes,
 			twinScenario{cells: 2, gps: 4, data: 6, load: 0.9, seed: 7, warm: 6, main: 25, wire: 100 * time.Millisecond, sends: 16},
 			twinScenario{cells: 6, gps: 1, data: 2, load: 0.5, seed: 99, warm: 4, main: 20, wire: 50 * time.Millisecond, lookahead: 20 * time.Millisecond, sends: 24},
 			twinScenario{cells: 3, gps: 3, data: 4, load: 1.1, seed: 3, warm: 5, main: 30, wire: time.Second, sends: 18},
 		)
+	}
+	var grid []twinScenario
+	for _, s := range shapes {
+		for ch := chanIdeal; ch < numChannels; ch++ {
+			s.channel = ch
+			grid = append(grid, s)
+		}
 	}
 	return grid
 }
@@ -232,6 +281,9 @@ func TestTwinShardedMatchesSerial(t *testing.T) {
 			}
 			if s.sends > 0 && serial.forwarded == 0 {
 				t.Fatal("no cross-cell traffic forwarded; the exchange path was not exercised")
+			}
+			if s.channel != chanIdeal && serial.losses == 0 {
+				t.Fatalf("the %v channel destroyed nothing; the noisy paths were not exercised", s.channel)
 			}
 		})
 	}

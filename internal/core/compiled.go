@@ -39,11 +39,17 @@ const (
 // templAction is one precompiled action: what to do, where, and at
 // which offset from the cycle start.
 type templAction struct {
-	op     slotOp
-	slot   int           // slot index (-1 for control fields)
 	at     time.Duration // offset from the cycle's t0
+	slot   int           // slot index (-1 for control fields)
 	pri    sim.Priority
+	op     slotOp
 	isLast bool // last reverse data slot of the cycle
+}
+
+// activeIn reports whether the action fires in a cycle announced by
+// cf1: a forward slot fires only when it is assigned to a user.
+func (a *templAction) activeIn(cf1 *frame.ControlFields) bool {
+	return a.op != opForward || cf1.ForwardSchedule[a.slot] != frame.NoUser
 }
 
 // cycleTemplate is the compiled form of one reverse format's cycle:
@@ -98,42 +104,48 @@ func buildTemplate(format ReverseFormat) *cycleTemplate {
 }
 
 // compiledInstance is one cycle bound to a template: the cycle's t0,
-// control fields, reserved kernel sequence numbers, and a cursor over
-// the active actions. Two instances suffice: a cycle's only action past
-// the next cycle's activation is its overlapping last reverse data slot.
+// control fields, and its active actions in firing order with their
+// reserved kernel sequence numbers. Two instances suffice: a cycle's
+// only action past the next cycle's activation is its overlapping last
+// reverse data slot.
 type compiledInstance struct {
-	tmpl   *cycleTemplate
+	inUse  bool
+	pos    int // index into plan of the next action
+	n      int // active actions in plan
 	cycle  int
 	t0     time.Duration
 	layout Layout
 	cf1    *frame.ControlFields // live pointer: CF2 amendments are visible
 	cf1Air []byte               // encoded CF1, for the slow delivery path
 	fast   bool
-	inUse  bool
-	pos    int // index into tmpl.exec of the next active action
 
-	active     [maxTemplateActions]bool
-	seqs       [maxTemplateActions]uint64
+	plan       [maxTemplateActions]plannedAction
 	contention [frame.ReverseScheduleEntries]bool
 	fwdUsers   [frame.ForwardScheduleEntries]frame.UserID
 }
 
-// head returns the instance's next action coordinates.
-func (ci *compiledInstance) head() (time.Duration, sim.Priority, uint64) {
-	si := ci.tmpl.exec[ci.pos]
-	a := &ci.tmpl.sched[si]
-	return ci.t0 + a.at, a.pri, ci.seqs[si]
+// plannedAction is one active action of a bound cycle. Activation
+// copies it out of the template, so firing reads one contiguous run of
+// the instance rather than the template's index and action tables.
+type plannedAction struct {
+	at  time.Duration // absolute firing time
+	seq uint64
+	act templAction
 }
 
-// advance moves the cursor to the next active action, releasing the
-// instance when the cycle is drained.
+// head returns the instance's next action coordinates.
+func (ci *compiledInstance) head() (time.Duration, sim.Priority, uint64) {
+	p := &ci.plan[ci.pos]
+	return p.at, p.act.pri, p.seq
+}
+
+// advance moves the cursor to the next action, releasing the instance
+// when the cycle is drained.
 func (ci *compiledInstance) advance() {
-	for ci.pos++; ci.pos < len(ci.tmpl.exec); ci.pos++ {
-		if ci.active[ci.tmpl.exec[ci.pos]] {
-			return
-		}
+	ci.pos++
+	if ci.pos == ci.n {
+		ci.inUse = false
 	}
-	ci.inUse = false
 }
 
 // compiledSource feeds compiled cycles into the kernel's main loop as a
@@ -142,6 +154,7 @@ func (ci *compiledInstance) advance() {
 // runs slow).
 type compiledSource struct {
 	n          *Network
+	handle     *sim.SourceHandle
 	inst       [2]compiledInstance
 	tmplF1     *cycleTemplate
 	tmplF2     *cycleTemplate
@@ -150,10 +163,11 @@ type compiledSource struct {
 
 var _ sim.ActionSource = (*compiledSource)(nil)
 
-// newCompiledSource returns an executor for n. The caller attaches it
-// to the kernel.
+// newCompiledSource returns an executor for n, attached to its kernel.
 func newCompiledSource(n *Network) *compiledSource {
-	return &compiledSource{n: n}
+	cs := &compiledSource{n: n}
+	cs.handle = n.sim.AttachSource(cs)
+	return cs
 }
 
 // templateFor returns the cached template for a format, compiling it on
@@ -208,7 +222,7 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 		n.metrics.CompiledFallbacks.Inc()
 	}
 
-	ci.tmpl = cs.templateFor(layout.Format)
+	tmpl := cs.templateFor(layout.Format)
 	ci.cycle = k
 	ci.t0 = t0
 	ci.layout = layout
@@ -220,16 +234,26 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 		ci.contention[i] = i < len(layout.ReverseData) && cf1.ReverseSchedule[i] == frame.NoUser
 	}
 	ci.fwdUsers = cf1.ForwardSchedule
-	for si := range ci.tmpl.sched {
-		a := &ci.tmpl.sched[si]
-		act := a.op != opForward || cf1.ForwardSchedule[a.slot] != frame.NoUser
-		ci.active[si] = act
-		if act {
-			ci.seqs[si] = n.sim.ReserveSeq()
+	// Sequences are reserved in scheduling order, the plan is laid out
+	// in firing order. Forward slots without a user are inactive.
+	var seqs [maxTemplateActions]uint64
+	for si := range tmpl.sched {
+		if tmpl.sched[si].activeIn(cf1) {
+			seqs[si] = n.sim.ReserveSeq()
 		}
 	}
-	ci.pos = -1
-	ci.advance()
+	ci.pos, ci.n = 0, 0
+	for _, si := range tmpl.exec {
+		if a := &tmpl.sched[si]; a.activeIn(cf1) {
+			ci.plan[ci.n] = plannedAction{at: t0 + a.at, seq: seqs[si], act: *a}
+			ci.n++
+		}
+	}
+	// A new instance may start ahead of the other one's remaining
+	// actions: the kernel's cached head must learn of it here, since
+	// this runs inside a heap event rather than the source's own
+	// FireAction.
+	cs.handle.Rekey()
 	return true
 }
 
@@ -272,7 +296,7 @@ func (cs *compiledSource) FireAction() {
 	if ci == nil {
 		return
 	}
-	a := ci.tmpl.sched[ci.tmpl.exec[ci.pos]]
+	a := ci.plan[ci.pos].act
 	ci.advance()
 	n := cs.n
 	switch a.op {

@@ -152,7 +152,6 @@ func NewNetworkOnSim(cfg Config, kernel *sim.Simulator) (*Network, error) {
 	n.base = NewBaseStation(&n.cfg, n.metrics, root.Fork("base"))
 	if !n.cfg.DisableCompiledCycle {
 		n.compiled = newCompiledSource(n)
-		kernel.AttachSource(n.compiled)
 	}
 	return n, nil
 }

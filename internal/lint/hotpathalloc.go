@@ -29,7 +29,8 @@ type hotRoot struct{ pkg, recv, name string }
 // Network.SimulationCycle is the compiled-cycle per-slot dispatcher
 // (fast handlers only; the slow fallback handlers and per-cycle
 // activation are deliberately outside — their allocations are
-// amortized per cycle or per message, not per slot).
+// amortized per cycle or per message, not per slot). SourceHandle.Rekey
+// is the kernel's per-action re-key of a fired source.
 var hotRoots = []hotRoot{
 	{"internal/rs", "Code", "EncodeTo"},
 	{"internal/rs", "Code", "DecodeTo"},
@@ -45,6 +46,7 @@ var hotRoots = []hotRoot{
 	{"internal/core", "Network", "traceD"},
 	{"internal/core", "Network", "SimulationCycle"},
 	{"internal/core", "compiledSource", "PeekAction"},
+	{"internal/sim", "SourceHandle", "Rekey"},
 	{"internal/core", "Ring", "Trace"},
 	{"internal/flight", "Recorder", "Trace"},
 	{"internal/flight", "SampledTracer", "Trace"},

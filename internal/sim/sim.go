@@ -13,9 +13,9 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -59,44 +59,85 @@ func (e *Event) At() time.Duration { return e.at }
 // Canceled reports whether the event has been canceled or already fired.
 func (e *Event) Canceled() bool { return e.index == -1 }
 
-// eventQueue is a min-heap on (at, priority, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.at != b.at {
-		return a.at < b.at
+// before reports whether work keyed (at, p, seq) sorts ahead of work
+// keyed (bat, bp, bseq) in the kernel's total order.
+func before(at time.Duration, p Priority, seq uint64, bat time.Duration, bp Priority, bseq uint64) bool {
+	if at != bat {
+		return at < bat
 	}
-	if a.priority != b.priority {
-		return a.priority < b.priority
+	if p != bp {
+		return p < bp
 	}
-	return a.seq < b.seq
+	return seq < bseq
 }
 
-func (q eventQueue) Swap(i, j int) {
+// eventQueue is a min-heap of events on (at, priority, seq). The sift
+// code is written against *Event rather than container/heap so the
+// dispatch loop pays no interface calls.
+type eventQueue []*Event
+
+func (q eventQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	return before(a.at, a.priority, a.seq, b.at, b.priority, b.seq)
+}
+
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			return
+		}
+		q.swap(i, j)
+		j = i
 	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
 }
 
-func (q *eventQueue) Pop() any {
+// down sifts element i0 toward the leaves and reports whether it moved.
+func (q eventQueue) down(i0 int) bool {
+	i, n := i0, len(q)
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *eventQueue) push(ev *Event) {
+	ev.index = len(*q)
+	*q = append(*q, ev)
+	q.up(ev.index)
+}
+
+// remove takes the element at heap position i out of the queue.
+func (q *eventQueue) remove(i int) *Event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	if i != n {
+		old.swap(i, n)
+	}
+	ev := old[n]
+	old[n] = nil
 	ev.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
+	}
 	return ev
 }
 
@@ -106,6 +147,12 @@ func (q *eventQueue) Pop() any {
 // the usual (time, priority, sequence) order and calls FireAction when
 // the source wins. Sequence numbers must come from ReserveSeq so that
 // source actions and heap events share one total order.
+//
+// The kernel caches each source's head in a min-heap and re-reads it
+// (through the SourceHandle returned by AttachSource) only after the
+// source fires. A source whose head changes anywhere else — a new
+// action becoming pending from inside a heap event, say — must call
+// Rekey on its handle before returning control to the kernel.
 //
 // Sources exist for compiled executors (e.g. the core compiled-cycle
 // fast path) whose action tables are known ahead of time; everything
@@ -119,16 +166,118 @@ type ActionSource interface {
 	FireAction()
 }
 
+// SourceHandle is an attached ActionSource's entry in the kernel's
+// source heap: the source's cached head key and its heap position.
+type SourceHandle struct {
+	sim      *Simulator
+	src      ActionSource
+	at       time.Duration
+	priority Priority
+	seq      uint64
+	index    int // source-heap index; -1 while the source is idle
+}
+
+// Rekey re-reads the source's head through PeekAction and moves the
+// handle to match: into the source heap when the source has work, out
+// of it when the source went idle, or to its new position otherwise.
+// It costs O(log active sources).
+func (h *SourceHandle) Rekey() {
+	at, p, seq, ok := h.src.PeekAction()
+	q := &h.sim.sources
+	if !ok {
+		if h.index >= 0 {
+			q.remove(h.index)
+		}
+		return
+	}
+	h.at, h.priority, h.seq = at, p, seq
+	if h.index < 0 {
+		q.push(h)
+		return
+	}
+	if !q.down(h.index) {
+		q.up(h.index)
+	}
+}
+
+// sourceQueue is the min-heap of active source heads on (at, priority,
+// seq), the concrete twin of eventQueue.
+type sourceQueue []*SourceHandle
+
+func (q sourceQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	return before(a.at, a.priority, a.seq, b.at, b.priority, b.seq)
+}
+
+func (q sourceQueue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+
+func (q sourceQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			return
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts element i0 toward the leaves and reports whether it moved.
+func (q sourceQueue) down(i0 int) bool {
+	i, n := i0, len(q)
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *sourceQueue) push(h *SourceHandle) {
+	h.index = len(*q)
+	*q = append(*q, h)
+	q.up(h.index)
+}
+
+// remove takes the handle at heap position i out of the queue.
+func (q *sourceQueue) remove(i int) {
+	old := *q
+	n := len(old) - 1
+	if i != n {
+		old.swap(i, n)
+	}
+	old[n].index = -1
+	old[n] = nil
+	*q = old[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
+	}
+}
+
 // Simulator is a single-threaded discrete-event simulator.
 //
 // The zero value is not usable; construct with New.
 type Simulator struct {
 	now     time.Duration
 	queue   eventQueue
+	sources sourceQueue
+	nsrc    int // attached sources: the source heap's capacity
 	seq     uint64
 	stopped bool
 	fired   uint64
-	sources []ActionSource
 }
 
 // New returns an empty simulator positioned at virtual time zero.
@@ -155,7 +304,7 @@ func (s *Simulator) At(at time.Duration, p Priority, fn func()) (*Event, error) 
 	}
 	ev := &Event{at: at, priority: p, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev, nil
 }
 
@@ -187,11 +336,18 @@ func (s *Simulator) AfterPriority(delay time.Duration, p Priority, fn func()) *E
 	return ev
 }
 
-// AttachSource registers an ActionSource with the kernel. Sources stay
-// attached for the simulator's lifetime; an idle source costs one
-// PeekAction call per loop iteration.
-func (s *Simulator) AttachSource(src ActionSource) {
-	s.sources = append(s.sources, src)
+// AttachSource registers an ActionSource with the kernel and returns
+// its handle. Sources stay attached for the simulator's lifetime. An
+// idle source sits outside the source heap and costs nothing; an active
+// one costs one Rekey (a PeekAction call and an O(log sources) sift)
+// per action it fires. The source heap is sized here for every attached
+// source, so re-keys never allocate.
+func (s *Simulator) AttachSource(src ActionSource) *SourceHandle {
+	s.nsrc++
+	s.sources = slices.Grow(s.sources, s.nsrc-len(s.sources))
+	h := &SourceHandle{sim: s, src: src, index: -1}
+	h.Rekey()
+	return h
 }
 
 // ReserveSeq hands out the next scheduling sequence number without
@@ -204,28 +360,42 @@ func (s *Simulator) ReserveSeq() uint64 {
 	return seq
 }
 
-// nextUp selects the earliest pending work item — the heap head or an
-// attached source's next action — by (at, priority, seq). src is nil
-// when the heap head wins; ok is false when nothing is pending at all.
-func (s *Simulator) nextUp() (src ActionSource, at time.Duration, ok bool) {
-	var (
-		p   Priority
-		seq uint64
-	)
+// nextUp selects the earliest pending work item — the event-heap head
+// or the source-heap head — by (at, priority, seq). src is nil when the
+// event wins; ok is false when nothing is pending at all.
+func (s *Simulator) nextUp() (src *SourceHandle, at time.Duration, ok bool) {
+	if len(s.sources) > 0 {
+		src = s.sources[0]
+		if len(s.queue) > 0 {
+			ev := s.queue[0]
+			if !before(src.at, src.priority, src.seq, ev.at, ev.priority, ev.seq) {
+				return nil, ev.at, true
+			}
+		}
+		return src, src.at, true
+	}
 	if len(s.queue) > 0 {
-		head := s.queue[0]
-		at, p, seq, ok = head.at, head.priority, head.seq, true
+		return nil, s.queue[0].at, true
 	}
-	for _, cand := range s.sources {
-		cat, cp, cseq, cok := cand.PeekAction()
-		if !cok {
-			continue
-		}
-		if !ok || cat < at || (cat == at && (cp < p || (cp == p && cseq < seq))) {
-			src, at, p, seq, ok = cand, cat, cp, cseq, true
-		}
+	return nil, 0, false
+}
+
+// fire executes the work item nextUp selected: the source's next action
+// (then re-keys the source) or the event-heap head.
+func (s *Simulator) fire(src *SourceHandle, at time.Duration) {
+	s.now = at
+	s.fired++
+	if src != nil {
+		src.src.FireAction()
+		src.Rekey()
+		return
 	}
-	return src, at, ok
+	ev := s.queue.remove(0)
+	fn := ev.fn
+	ev.fn = nil
+	if fn != nil {
+		fn()
+	}
 }
 
 // Cancel removes a scheduled event. Canceling a nil, fired, or already
@@ -234,8 +404,7 @@ func (s *Simulator) Cancel(ev *Event) bool {
 	if ev == nil || ev.index == -1 {
 		return false
 	}
-	heap.Remove(&s.queue, ev.index)
-	ev.index = -1
+	s.queue.remove(ev.index)
 	ev.fn = nil
 	return true
 }
@@ -262,23 +431,7 @@ func (s *Simulator) Run(horizon time.Duration) error {
 			s.now = horizon
 			return nil
 		}
-		if src != nil {
-			s.now = at
-			s.fired++
-			src.FireAction()
-			continue
-		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
-		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
-		}
+		s.fire(src, at)
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -310,23 +463,7 @@ func (s *Simulator) RunBefore(limit time.Duration) error {
 		if at >= limit {
 			break
 		}
-		if src != nil {
-			s.now = at
-			s.fired++
-			src.FireAction()
-			continue
-		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
-		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
-		}
+		s.fire(src, at)
 	}
 	if s.now < limit {
 		s.now = limit
@@ -348,23 +485,7 @@ func (s *Simulator) RunUntilIdle() error {
 		if s.stopped {
 			return ErrStopped
 		}
-		if src != nil {
-			s.now = at
-			s.fired++
-			src.FireAction()
-			continue
-		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
-		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
-		}
+		s.fire(src, at)
 	}
 	return nil
 }

@@ -1,13 +1,15 @@
 package osumac_test
 
-// Metro-scale benchmark for the sharded backbone kernel. The CI
+// Metro-scale benchmark for the backbone's two engines. The CI
 // variants size a 100-cell slice on both engines so the benchdiff gate
-// tracks the sharded coordinator's overhead against the serial oracle;
-// the full metro (14k cells, ~1M subscribers) is too heavy for every CI
-// run and is gated behind OSUMAC_METRO=1. On a multi-core machine the
-// sharded engine's per-cell kernels run concurrently between barriers
-// (design target: ≥4× at 8 cores); on one core it measures pure
-// coordination overhead.
+// tracks the sharded coordinator against the serial oracle; the full
+// metro (14k cells, ~1M subscribers) is too heavy for every CI run and
+// is gated behind OSUMAC_METRO=1. The serial engine dispatches each
+// event in O(log cells) (the kernel's source heap), so on one core the
+// gap between the two engines is barrier coordination against the
+// sharded engine's per-cell cache locality. On a multi-core machine the
+// sharded engine's per-cell kernels also run concurrently between
+// barriers (design target: ≥4× at 8 cores).
 
 import (
 	"os"
