@@ -454,9 +454,33 @@ func BenchmarkControlFieldCodec(b *testing.B) {
 // BenchmarkSimulationCycle measures full-stack cycles per second for a
 // busy cell.
 func BenchmarkSimulationCycle(b *testing.B) {
+	benchBusyCell(b, busyCellConfig())
+}
+
+// BenchmarkNoisyCycle is BenchmarkSimulationCycle on the registration
+// example's Gilbert–Elliott links. A lossy channel keeps the compiled
+// executor on its slow handlers, so every cycle pays the wire: each
+// listener's control-field reception, RS decoding of corrupted
+// codewords, and the reverse and forward packet round trips.
+func BenchmarkNoisyCycle(b *testing.B) {
+	cfg := busyCellConfig()
+	cfg.NewReverseModel = func() ErrorModel { return NewGilbertElliott(0.004, 0.12, 0.0005, 0.6) }
+	cfg.NewForwardModel = func() ErrorModel { return NewGilbertElliott(0.002, 0.15, 0.0002, 0.6) }
+	benchBusyCell(b, cfg)
+}
+
+// busyCellConfig is the benchmark busy cell's configuration: 4 GPS and
+// 10 data users (see benchPopulate) at load 0.9.
+func busyCellConfig() Config {
 	cfg := NewConfig()
 	cfg.Seed = benchSeed
 	cfg.MeanInterarrival = benchInterarrival(0.9)
+	return cfg
+}
+
+// benchBusyCell times single cycles of the busy cell after five warm-up
+// cycles.
+func benchBusyCell(b *testing.B, cfg Config) {
 	n, err := NewNetwork(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -481,24 +505,9 @@ func BenchmarkSimulationCycle(b *testing.B) {
 // to leave on in every run.
 func BenchmarkFlightRecorderOverhead(b *testing.B) {
 	run := func(b *testing.B, tracer Tracer) {
-		cfg := NewConfig()
-		cfg.Seed = benchSeed
-		cfg.MeanInterarrival = benchInterarrival(0.9)
+		cfg := busyCellConfig()
 		cfg.Tracer = tracer
-		n, err := NewNetwork(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPopulate(b, n)
-		if err := n.Run(5); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n.Run(1); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchBusyCell(b, cfg)
 	}
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
 	b.Run("recorder", func(b *testing.B) {

@@ -116,7 +116,6 @@ type compiledInstance struct {
 	t0     time.Duration
 	layout Layout
 	cf1    *frame.ControlFields // live pointer: CF2 amendments are visible
-	cf1Air []byte               // encoded CF1, for the slow delivery path
 	fast   bool
 
 	plan       [maxTemplateActions]plannedAction
@@ -194,7 +193,7 @@ func (cs *compiledSource) templateFor(f ReverseFormat) *cycleTemplate {
 // channel model somewhere, a reverse-format switch — deactivate the
 // fast path up front; the cycle still runs off the table via the slow
 // handlers.
-func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields, cf1Air []byte) bool {
+func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields) bool {
 	var ci *compiledInstance
 	for i := range cs.inst {
 		if !cs.inst[i].inUse {
@@ -227,7 +226,6 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 	ci.t0 = t0
 	ci.layout = layout
 	ci.cf1 = cf1
-	ci.cf1Air = cf1Air
 	ci.fast = fast
 	ci.inUse = true
 	for i := range ci.contention {
@@ -344,14 +342,15 @@ func (n *Network) anyContentionPlanned() bool {
 // the fast path before any data slot fires.
 func (n *Network) fireControlCF1(ci *compiledInstance) {
 	if !ci.fast {
-		n.deliverCF1All(ci.cf1Air, ci.layout)
+		n.deliverCF1All(ci.layout)
 		return
 	}
 	for _, e := range n.subs {
 		if e.sub.State() == StateIdle || e.listensCF2 {
 			continue
 		}
-		n.deliverCFDirect(e, ci.cf1, ci.layout)
+		n.receiveCF(e, ci.cf1, ci.layout)
+		n.maybeStartSources(e)
 	}
 	if n.anyContentionPlanned() {
 		n.compiledFallback(ci, &n.metrics.CompiledFallbackContention)
@@ -385,23 +384,12 @@ func (n *Network) fireControlCF2(ci *compiledInstance) {
 			continue
 		}
 		n.metrics.CF2Listens.Inc()
-		n.deliverCFDirect(e, cf2, ci.layout)
+		n.receiveCF(e, cf2, ci.layout)
+		n.maybeStartSources(e)
 	}
 	if n.anyContentionPlanned() {
 		n.compiledFallback(ci, &n.metrics.CompiledFallbackContention)
 	}
-}
-
-// deliverCFDirect is deliverCF minus the wire: the fast path hands the
-// subscriber the already-built control fields. Identical to a clean
-// decode because OnControlFields and ObservePaging only read the
-// struct.
-func (n *Network) deliverCFDirect(e *subEntry, cf *frame.ControlFields, layout Layout) {
-	e.plan = e.sub.OnControlFields(cf, layout, n.sim.Now())
-	e.hasPlan = true
-	e.planCycle = n.cycle - 1
-	e.sub.ObservePaging(cf)
-	n.maybeStartSources(e)
 }
 
 // runSlowAction dispatches one action through the event kernel's slot

@@ -60,12 +60,18 @@ type Network struct {
 	// Reused codec/channel scratch. The kernel is single-threaded and
 	// every consumer finishes with its buffer before handing control
 	// back, so one buffer per role removes the per-slot allocations.
-	// cf1Buf/cf2Buf live until their delivery events fire later in the
-	// same cycle; encBuf/rxBuf are consumed within one handler.
-	cf1Buf []byte
-	cf2Buf []byte
-	encBuf []byte
-	rxBuf  []byte
+	// cf1/cf2 live until their delivery events fire later in the same
+	// cycle; the rest are consumed within one handler.
+	cf1      cfTx
+	cf2      cfTx
+	encBuf   []byte
+	rxBuf    []byte
+	rxCF     frame.ControlFields // a miscorrected control-field set
+	slotTxs  []slotTx
+	payloads [][]byte
+	// decBuf receives a decoded packet. A correcting decode needs room
+	// for the whole codeword, failed ones included.
+	decBuf [phy.CodewordBytes]byte
 
 	// Compiled-cycle executor (see compiled.go). compiled is nil when
 	// Config.DisableCompiledCycle is set; allIdeal tracks whether every
@@ -82,6 +88,21 @@ type Network struct {
 	scratchPkt     frame.Packet
 	scratchGPS     frame.GPSReport
 	scratchPayload [frame.MaxPayload]byte
+}
+
+// cfTx is one control-field set on the air: the base station's struct
+// and the two codewords encoding it.
+type cfTx struct {
+	sent *frame.ControlFields
+	air  []byte
+}
+
+// slotTx is one transmission in a reverse data slot. pkt is set for a
+// scheduled data packet and nil for a contention packet.
+type slotTx struct {
+	e    *subEntry
+	pkt  *frame.DataPacket
+	info []byte
 }
 
 type subEntry struct {
@@ -380,24 +401,21 @@ func (n *Network) beginCycle(k int) {
 		e.listensCF2 = e.sub.ListensCF2()
 	}
 
-	// CF1 delivery. The buffer is reused next cycle; the delivery event
+	// CF1 delivery. n.cf1 is re-encoded next cycle; the delivery event
 	// below fires at CF1.End, well before then.
-	cf1Air, err := n.codec.EncodeControlFieldsTo(n.cf1Buf[:0], cf1)
-	if err != nil {
-		n.fail("control field encode", err)
+	if !n.encodeCF(&n.cf1, cf1) {
 		return
 	}
-	n.cf1Buf = cf1Air
 
 	// Compiled fast path: when an instance is free, the whole cycle runs
 	// off a precompiled slot-action table instead of per-slot heap events
 	// (see compiled.go). The two engines are observationally identical.
-	if n.compiled != nil && n.compiled.activate(k, t0, layout, cf1, cf1Air) {
+	if n.compiled != nil && n.compiled.activate(k, t0, layout, cf1) {
 		return
 	}
 
 	n.sim.AfterPriority(layout.CF1.End, sim.PriorityDeliver, func() {
-		n.deliverCF1All(cf1Air, layout)
+		n.deliverCF1All(layout)
 	})
 
 	// CF2 delivery.
@@ -468,15 +486,30 @@ func (n *Network) recordSeriesPoint(cycle int) {
 	n.prevSnap = cur
 }
 
-// deliverCF1All delivers the encoded first control-field set to every
-// subscriber not waiting for CF2. It is the body of the event kernel's
-// CF1 delivery event, and the compiled executor's slow CF1 action.
-func (n *Network) deliverCF1All(air []byte, layout Layout) {
+// encodeCF puts a control-field set on the air in tx. An encode error
+// is an internal failure: it aborts the run and reports false.
+func (n *Network) encodeCF(tx *cfTx, cf *frame.ControlFields) bool {
+	air, err := n.codec.EncodeControlFieldsTo(tx.air[:0], cf)
+	if err != nil {
+		n.fail("control field encode", err)
+		return false
+	}
+	tx.sent, tx.air = cf, air
+	return true
+}
+
+// deliverCF1All delivers the cycle's encoded first control-field set to
+// every subscriber not waiting for CF2. It is the body of the event
+// kernel's CF1 delivery event, and the compiled executor's slow CF1
+// action.
+func (n *Network) deliverCF1All(layout Layout) {
 	for _, e := range n.subs {
 		if e.sub.State() == StateIdle || e.listensCF2 {
 			continue
 		}
-		n.deliverCF(e, air, layout)
+		if n.deliverCF(e, &n.cf1, layout) {
+			n.maybeStartSources(e)
+		}
 	}
 }
 
@@ -505,39 +538,58 @@ func (n *Network) announceCF2Amendments() {
 // deliverCF2Wire encodes a built CF2 set and delivers it through each
 // listener's forward channel.
 func (n *Network) deliverCF2Wire(cf2 *frame.ControlFields, layout Layout) {
-	cf2Air, err := n.codec.EncodeControlFieldsTo(n.cf2Buf[:0], cf2)
-	if err != nil {
-		n.fail("control field encode", err)
+	if !n.encodeCF(&n.cf2, cf2) {
 		return
 	}
-	n.cf2Buf = cf2Air
 	for _, e := range n.subs {
 		if e.sub.State() == StateIdle || !e.listensCF2 {
 			continue
 		}
 		n.metrics.CF2Listens.Inc()
-		n.deliverCF(e, cf2Air, layout)
+		if n.deliverCF(e, &n.cf2, layout) {
+			n.maybeStartSources(e)
+		}
 	}
 }
 
 // deliverCF passes a control-field transmission through one subscriber's
-// forward link and hands the result to its state machine.
-func (n *Network) deliverCF(e *subEntry, air []byte, layout Layout) {
-	n.rxBuf = frame.TransmitTo(n.rxBuf[:0], air, e.fwdModel, e.chanRNG)
-	cf, err := n.codec.DecodeControlFields(n.rxBuf)
-	if err != nil {
-		n.metrics.CFDecodeFailures.Inc()
-		n.trace(EventCFDecodeFailed, e.sub.ID(), -1, "")
-		e.plan = e.sub.OnCycleNoSchedule()
-		e.hasPlan = true
-		e.planCycle = n.cycle - 1
-		return
+// forward link and hands the result to its state machine, reporting
+// whether the set was received; the caller then starts the traffic
+// sources of a subscriber it activated. It is a hotpathalloc root: no
+// branch allocates.
+//
+// The set is a broadcast, so every receiver whose decode would return
+// the sent information bytes gets the sent struct as is, with no decode
+// and no bit parse: that is every reception within the RS correction
+// radius of the sent codewords, intact ones included. Beyond the radius
+// the decoder either fails or lands on another valid codeword (a
+// miscorrection), which is parsed into Network-owned scratch. Receivers
+// only read the struct.
+func (n *Network) deliverCF(e *subEntry, tx *cfTx, layout Layout) bool {
+	n.rxBuf = frame.TransmitTo(n.rxBuf[:0], tx.air, e.fwdModel, e.chanRNG)
+	cf := tx.sent
+	if !n.codec.WithinRadius(tx.air, n.rxBuf) {
+		if err := n.codec.DecodeControlFieldsInto(&n.rxCF, n.rxBuf); err != nil {
+			n.metrics.CFDecodeFailures.Inc()
+			n.trace(EventCFDecodeFailed, e.sub.ID(), -1, "")
+			e.plan = e.sub.OnCycleNoSchedule()
+			e.hasPlan = true
+			e.planCycle = n.cycle - 1
+			return false
+		}
+		cf = &n.rxCF
 	}
+	n.receiveCF(e, cf, layout)
+	return true
+}
+
+// receiveCF hands one subscriber a control-field set that reached it.
+// The compiled fast path calls it with the built struct directly.
+func (n *Network) receiveCF(e *subEntry, cf *frame.ControlFields, layout Layout) {
 	e.plan = e.sub.OnControlFields(cf, layout, n.sim.Now())
 	e.hasPlan = true
 	e.planCycle = n.cycle - 1
 	e.sub.ObservePaging(cf)
-	n.maybeStartSources(e)
 }
 
 // maybeStartSources launches traffic generation once a subscriber
@@ -632,6 +684,7 @@ func (n *Network) gpsSlotStart(cf *frame.ControlFields, slot int, txStart time.D
 	}
 	body, err := rep.Marshal()
 	if err != nil {
+		n.fail("gps report marshal", err)
 		return
 	}
 	// GPS packets carry 72 information bits in 256 coded bits — a rate
@@ -639,10 +692,10 @@ func (n *Network) gpsSlotStart(cf *frame.ControlFields, slot int, txStart time.D
 	// slots. Model that protection by tolerating the same number of
 	// corrupted bytes as the RS correction radius; heavier corruption
 	// (the burst regime) loses the report, which is never retransmitted.
-	rx := append([]byte(nil), body...)
+	n.rxBuf = append(n.rxBuf[:0], body...)
 	changed := 0
 	if e.revModel != nil {
-		changed = e.revModel.Corrupt(rx, e.chanRNG)
+		changed = e.revModel.Corrupt(n.rxBuf, e.chanRNG)
 	}
 	if changed > gpsCorrectableBytes {
 		n.metrics.GPSLost.Inc()
@@ -660,59 +713,92 @@ const gpsCorrectableBytes = 8
 
 // dataSlotEnd resolves one reverse data slot: scheduled owner and/or
 // contenders transmit; collisions destroy everything.
+//
+// Every transmission crosses its own reverse link, in order, whatever
+// the slot's outcome, so the channel draws never depend on it. A
+// collision loses every payload unread. A lone transmission within the
+// RS correction radius of its codeword decodes to what was sent, so a
+// scheduled data packet goes to the base station as built and a
+// contention packet as marshaled; only one beyond the radius is
+// decoded.
 func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 	// The last slot of cycle k lands after cycle k+1 began; its ACK
 	// belongs to the previous ACK window.
 	intoPrev := cycle != n.cycle-1
 
-	type tx struct {
-		e    *subEntry
-		info []byte
-	}
-	var txs []tx
+	txs := n.slotTxs[:0]
 	for _, e := range n.subs {
 		if !e.hasPlan || e.planCycle != cycle {
 			continue
 		}
 		if !contention {
 			for _, s := range e.plan.DataSlots {
-				if s == slot {
-					if pkt := e.sub.MakeDataPacket(slot); pkt != nil {
-						info, err := pkt.Marshal()
-						if err == nil {
-							txs = append(txs, tx{e: e, info: info})
-							n.metrics.FragmentsSent.Inc()
-						}
-					}
+				if s != slot {
+					continue
 				}
+				// Scheduled packets share the scratch: each is marshaled
+				// at once, and only a lone one is read back below.
+				if !e.sub.MakeDataPacketInto(slot, &n.scratchData, n.scratchPayload[:]) {
+					continue
+				}
+				info, err := n.scratchData.Marshal()
+				if err != nil {
+					n.fail("data packet marshal", err)
+					return
+				}
+				txs = append(txs, slotTx{e: e, pkt: &n.scratchData, info: info})
+				n.metrics.FragmentsSent.Inc()
 			}
 		}
 		if e.plan.ContentionSlot == slot {
 			info, err := e.sub.MakeContentionPacket()
-			if err == nil && info != nil {
-				txs = append(txs, tx{e: e, info: info})
+			if err != nil {
+				n.fail("contention packet marshal", err)
+				return
+			}
+			if info != nil {
+				txs = append(txs, slotTx{e: e, info: info})
 				if n.tracing() {
 					n.trace(EventContentionTx, e.sub.ID(), slot, e.plan.ContentionKind.String())
 				}
 			}
 		}
 	}
+	n.slotTxs = txs
 
-	payloads := make([][]byte, 0, len(txs))
 	for _, t := range txs {
 		cw, err := n.codec.EncodePayloadTo(n.encBuf[:0], t.info)
 		if err != nil {
-			continue
+			n.fail("data slot encode", err)
+			return
 		}
 		n.encBuf = cw
 		n.rxBuf = frame.TransmitTo(n.rxBuf[:0], cw, t.e.revModel, t.e.chanRNG)
-		// decoded escapes into payloads, so it keeps its own allocation.
-		decoded, err := n.codec.DecodePayload(n.rxBuf)
-		if err != nil {
-			payloads = append(payloads, nil) // loss
-			continue
+	}
+
+	// payloads[i] is what the base station received of txs[i]; nil is a
+	// loss. Colliding entries stay nil: RecordReverse counts them
+	// without reading any.
+	payloads := n.payloads[:0]
+	for range txs {
+		payloads = append(payloads, nil)
+	}
+	n.payloads = payloads
+	if len(txs) == 1 {
+		// encBuf and rxBuf still hold the lone transmission.
+		t := txs[0]
+		if n.codec.WithinRadius(n.encBuf, n.rxBuf) {
+			if t.pkt != nil {
+				n.scratchPkt = frame.Packet{Type: frame.TypeData, Data: t.pkt}
+				out := n.base.recordPacket(slot, intoPrev, isLast, &n.scratchPkt, false)
+				n.handleOutcome(out, cycle, slot)
+				return
+			}
+			payloads[0] = t.info
+		} else if decoded, err := n.codec.DecodePayloadTo(n.decBuf[:0], n.rxBuf); err == nil {
+			// Miscorrected onto another codeword: parse what arrived.
+			payloads[0] = decoded
 		}
-		payloads = append(payloads, decoded)
 	}
 
 	out := n.base.RecordReverse(slot, intoPrev, isLast, payloads, contention)
@@ -803,6 +889,8 @@ func (n *Network) noteDemandHeard(user frame.UserID, now time.Duration) {
 // forwardSlotEnd delivers one forward data slot to its scheduled user.
 // slot is the forward slot index (traced so span stitching can verify
 // forward-channel constraints like the CF2-listener slot-0 exclusion).
+// A reception within the RS correction radius hands the subscriber the
+// queued packet itself; only a miscorrected codeword is parsed.
 func (n *Network) forwardSlotEnd(slot int, user frame.UserID) {
 	pkt := n.base.PopForward(user)
 	if pkt == nil {
@@ -815,28 +903,34 @@ func (n *Network) forwardSlotEnd(slot int, user frame.UserID) {
 	}
 	info, err := pkt.Marshal()
 	if err != nil {
+		n.fail("forward packet marshal", err)
 		return
 	}
 	cw, err := n.codec.EncodePayloadTo(n.encBuf[:0], info)
 	if err != nil {
+		n.fail("forward packet encode", err)
 		return
 	}
 	n.encBuf = cw
 	n.rxBuf = frame.TransmitTo(n.rxBuf[:0], cw, e.fwdModel, e.chanRNG)
-	// decoded may be aliased by the parsed packet below: keep it owned.
-	decoded, err := n.codec.DecodePayload(n.rxBuf)
-	if err != nil {
-		return
-	}
-	parsed, err := frame.UnmarshalPacket(decoded)
-	if err != nil || parsed.Type != frame.TypeData {
-		return
+	if !n.codec.WithinRadius(cw, n.rxBuf) {
+		decoded, err := n.codec.DecodePayloadTo(n.decBuf[:0], n.rxBuf)
+		if err != nil {
+			return
+		}
+		// ReceiveForward keeps nothing of the packet, so it may alias
+		// the scratch.
+		parsed, err := frame.UnmarshalPacket(decoded)
+		if err != nil || parsed.Type != frame.TypeData {
+			return
+		}
+		pkt = parsed.Data
 	}
 	n.metrics.ForwardPktsDelivered.Inc()
 	if n.tracing() {
-		n.traceD(EventForwardTx, user, slot, DetailForwardFrag, int64(parsed.Data.Header.MsgID), int64(parsed.Data.Header.Frag), 0)
+		n.traceD(EventForwardTx, user, slot, DetailForwardFrag, int64(pkt.Header.MsgID), int64(pkt.Header.Frag), 0)
 	}
-	if done, msgID, _ := e.sub.ReceiveForward(parsed.Data); done {
+	if done, msgID, _ := e.sub.ReceiveForward(pkt); done {
 		delete(n.fwdMeta, fwdKey(user, msgID))
 	}
 }

@@ -91,9 +91,11 @@ type Subscriber struct {
 	// Listening rule (paper §3.4 problem 2).
 	listenCF2 bool
 
-	// In-flight transmissions awaiting next cycle's ACKs.
-	sentSlots   map[int]slotRecord
-	sentContend *contentionRecord
+	// In-flight transmissions awaiting next cycle's ACKs. contend is
+	// the contention transmission, valid while contending is set.
+	sentSlots  map[int]slotRecord
+	contend    contentionRecord
+	contending bool
 
 	// GPS report pending transmission.
 	gpsArrival time.Duration
@@ -168,7 +170,7 @@ func (s *Subscriber) Deactivate() {
 	s.pending = nil
 	s.requestedOutstanding = 0
 	s.sentSlots = make(map[int]slotRecord)
-	s.sentContend = nil
+	s.contending = false
 	s.listenCF2 = false
 	s.gpsHave = false
 	s.hasNeed = false
@@ -276,7 +278,7 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 			s.regAttempts++
 			plan.ContentionSlot = slot
 			plan.ContentionKind = frame.TypeRegistration
-			s.sentContend = &contentionRecord{slot: slot, kind: frame.TypeRegistration}
+			s.contend, s.contending = contentionRecord{slot: slot, kind: frame.TypeRegistration}, true
 			if slot == layout.LastDataSlot() && s.cfg.SecondControlField {
 				s.listenCF2 = true
 			}
@@ -323,11 +325,12 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 		s.backoffCycles--
 		return plan
 	}
-	if len(plan.DataSlots) == 0 && s.unrequested() > 0 && s.sentContend == nil {
+	if len(plan.DataSlots) == 0 && s.unrequested() > 0 && !s.contending {
 		slot := s.pickContentionSlot(cf, layout, wasCF2)
 		if slot >= 0 {
 			plan.ContentionSlot = slot
-			rec := &contentionRecord{slot: slot}
+			s.contend, s.contending = contentionRecord{slot: slot}, true
+			rec := &s.contend
 			switch s.cfg.Policy {
 			case ReserveWithData:
 				if f := s.popFragment(); f != nil {
@@ -345,7 +348,6 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 				rec.reqSlots = s.clampMore(s.unrequested())
 				plan.ContentionKind = frame.TypeReservation
 			}
-			s.sentContend = rec
 			if slot == layout.LastDataSlot() && s.cfg.SecondControlField {
 				s.listenCF2 = true
 			}
@@ -357,7 +359,7 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 		if slot := s.pickContentionSlot(cf, layout, wasCF2); slot >= 0 {
 			plan.ContentionSlot = slot
 			plan.ContentionKind = frame.TypeReservation
-			s.sentContend = &contentionRecord{slot: slot, kind: frame.TypeReservation, reqSlots: 0}
+			s.contend, s.contending = contentionRecord{slot: slot, kind: frame.TypeReservation, reqSlots: 0}, true
 			if slot == layout.LastDataSlot() && s.cfg.SecondControlField {
 				s.listenCF2 = true
 			}
@@ -398,8 +400,9 @@ func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
 	}
 
 	// Contention transmission.
-	if rec := s.sentContend; rec != nil {
-		s.sentContend = nil
+	if s.contending {
+		s.contending = false
+		rec := s.contend
 		var ack frame.ReverseACK
 		ok := cf != nil && rec.slot < len(cf.ReverseACKs)
 		if ok {
@@ -497,10 +500,10 @@ func (s *Subscriber) MakeDataPacketInto(slot int, pkt *frame.DataPacket, payload
 // MakeContentionPacket builds the packet for the planned contention
 // transmission.
 func (s *Subscriber) MakeContentionPacket() ([]byte, error) {
-	rec := s.sentContend
-	if rec == nil {
+	if !s.contending {
 		return nil, nil
 	}
+	rec := &s.contend
 	switch rec.kind {
 	case frame.TypeRegistration:
 		return (&frame.RegistrationRequest{EIN: s.EIN, WantGPS: s.IsGPS}).Marshal()
@@ -614,7 +617,9 @@ func (s *Subscriber) requeue(f *fragment) {
 	if f == nil {
 		return
 	}
-	s.pending = append([]*fragment{f}, s.pending...)
+	s.pending = append(s.pending, nil)
+	copy(s.pending[1:], s.pending)
+	s.pending[0] = f
 }
 
 // spread widens the backoff window exponentially with consecutive

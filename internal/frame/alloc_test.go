@@ -185,3 +185,53 @@ func TestControlFieldCodecSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("clean DecodeControlFieldsInto: %v allocs/op, want 0", n)
 	}
 }
+
+// TestCodecDecodeControlFieldsIntoErrorPaths checks the decode that
+// the core runs on receptions beyond the correction radius: with t byte
+// errors in each codeword it still restores the set, and neither that
+// nor an uncorrectable burst allocates.
+func TestCodecDecodeControlFieldsIntoErrorPaths(t *testing.T) {
+	c := NewCodec()
+	cf := NewControlFields()
+	cf.GPSSchedule[2] = 5
+	cf.ReverseSchedule[6] = 40
+	cf.ReverseACKs[3] = ReverseACK{User: 40, EIN: 0xC0DE}
+	air, err := c.EncodeControlFields(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(11)
+	corrected := append([]byte(nil), air...)
+	for cw := 0; cw < phy.ControlFieldCodewords; cw++ {
+		for _, p := range rng.Shuffled(phy.CodewordBytes)[:c.Code().T()] {
+			corrected[cw*phy.CodewordBytes+p] ^= byte(rng.UniformInt(1, 255))
+		}
+	}
+	burst := append([]byte(nil), air...)
+	for i := phy.CodewordBytes; i < phy.CodewordBytes+30; i++ {
+		burst[i] ^= 0xFF
+	}
+	var rx ControlFields
+	if err := c.DecodeControlFieldsInto(&rx, corrected); err != nil {
+		t.Fatal(err)
+	}
+	if rx != *cf {
+		t.Fatal("corrected DecodeControlFieldsInto differs from the sent set")
+	}
+	if err := c.DecodeControlFieldsInto(&rx, burst); err == nil {
+		t.Fatal("burst-corrupted control fields decoded")
+	}
+	if raceEnabled {
+		return
+	}
+	for _, tc := range []struct {
+		name string
+		rx   []byte
+	}{{"corrected", corrected}, {"failed", burst}} {
+		if n := testing.AllocsPerRun(100, func() {
+			_ = c.DecodeControlFieldsInto(&rx, tc.rx)
+		}); n != 0 {
+			t.Errorf("%s DecodeControlFieldsInto: %v allocs/op, want 0", tc.name, n)
+		}
+	}
+}

@@ -103,24 +103,33 @@ func (c *Codec) DecodeControlFieldsTo(dst, air []byte) (*ControlFields, error) {
 
 // DecodeControlFieldsInto decodes two received codewords into a
 // caller-owned struct. The decoded info blocks live in stack scratch,
-// so the clean path (no channel errors) is allocation-free once the RS
-// decoder's scratch pool is warm. On error cf's contents are
+// so once the RS decoder's scratch pool is warm no path allocates on
+// correct-length input: a codeword beyond the correction radius
+// returns the RS error unwrapped. On error cf's contents are
 // unspecified.
 func (c *Codec) DecodeControlFieldsInto(cf *ControlFields, air []byte) error {
-	want := phy.ControlFieldCodewords * phy.CodewordBytes
-	if len(air) != want {
-		return fmt.Errorf("%w: control fields air size %d, want %d", ErrBadLength, len(air), want)
+	if len(air) != ControlFieldAirBytes {
+		return fmt.Errorf("%w: control fields air size %d, want %d", ErrBadLength, len(air), ControlFieldAirBytes)
 	}
-	var infoArr [ControlFieldBytes]byte
-	dst := infoArr[:0]
+	// A correcting decode appends the whole codeword before trimming it
+	// to its information bytes, so the scratch holds one parity block
+	// more than the result.
+	var buf [ControlFieldBytes + phy.CodewordBytes - phy.CodewordInfoBytes]byte
+	dst := buf[:0]
 	var err error
 	for i := 0; i < phy.ControlFieldCodewords; i++ {
-		dst, err = c.code.DecodeTo(dst, air[i*phy.CodewordBytes:(i+1)*phy.CodewordBytes])
-		if err != nil {
-			return fmt.Errorf("control field codeword %d: %w", i, err)
+		if dst, err = c.code.DecodeTo(dst, air[i*phy.CodewordBytes:(i+1)*phy.CodewordBytes]); err != nil {
+			return err
 		}
 	}
 	return UnmarshalControlFieldsInto(cf, dst)
+}
+
+// WithinRadius reports whether every received codeword lies within the
+// RS correction radius of the one sent (see rs.Code.WithinRadius):
+// decoding it would return exactly the sent information bytes.
+func (c *Codec) WithinRadius(sent, received []byte) bool {
+	return c.code.WithinRadius(sent, received)
 }
 
 // Transmit models one coded transmission through a channel error model:

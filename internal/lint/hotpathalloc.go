@@ -29,8 +29,10 @@ type hotRoot struct{ pkg, recv, name string }
 // Network.SimulationCycle is the compiled-cycle per-slot dispatcher
 // (fast handlers only; the slow fallback handlers and per-cycle
 // activation are deliberately outside — their allocations are
-// amortized per cycle or per message, not per slot). SourceHandle.Rekey
-// is the kernel's per-action re-key of a fired source.
+// amortized per cycle or per message, not per slot). Network.deliverCF
+// is the per-listener control-field delivery on every channel model.
+// SourceHandle.Rekey is the kernel's per-action re-key of a fired
+// source.
 var hotRoots = []hotRoot{
 	{"internal/rs", "Code", "EncodeTo"},
 	{"internal/rs", "Code", "DecodeTo"},
@@ -45,6 +47,7 @@ var hotRoots = []hotRoot{
 	{"internal/core", "Network", "trace"},
 	{"internal/core", "Network", "traceD"},
 	{"internal/core", "Network", "SimulationCycle"},
+	{"internal/core", "Network", "deliverCF"},
 	{"internal/core", "compiledSource", "PeekAction"},
 	{"internal/sim", "SourceHandle", "Rekey"},
 	{"internal/core", "Ring", "Trace"},

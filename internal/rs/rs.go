@@ -23,6 +23,7 @@
 package rs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -224,6 +225,35 @@ func (c *Code) K() int { return c.k }
 
 // T returns the maximum number of correctable byte errors, (n−k)/2.
 func (c *Code) T() int { return (c.n - c.k) / 2 }
+
+// WithinRadius reports whether received lies within the correction
+// radius of sent, codeword by codeword: sent is a run of whole
+// codewords of this code, received has the same length, and no
+// codeword of received differs from its counterpart in sent in more
+// than T bytes. Decoding such a word is guaranteed to return sent's
+// message bytes (the decoder corrects every pattern of at most T byte
+// errors), so a caller that kept them need not decode.
+func (c *Code) WithinRadius(sent, received []byte) bool {
+	if len(sent) != len(received) || len(sent)%c.n != 0 {
+		return false
+	}
+	if bytes.Equal(sent, received) {
+		return true
+	}
+	t := c.T()
+	for off := 0; off < len(sent); off += c.n {
+		errs := 0
+		for i, b := range sent[off : off+c.n] {
+			if b != received[off+i] {
+				errs++
+			}
+		}
+		if errs > t {
+			return false
+		}
+	}
+	return true
+}
 
 // zeros pads append-style growth without a per-call allocation; 255 is
 // the largest possible codeword, so a parity run always fits.

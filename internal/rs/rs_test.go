@@ -297,3 +297,54 @@ func TestPropertyEncodedWordsAreCodewords(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWithinRadiusMatchesDecoder checks WithinRadius against the
+// decoder: a word within t byte errors of a codeword must decode to its
+// message, and a word beyond that must not be reported within radius.
+func TestWithinRadiusMatchesDecoder(t *testing.T) {
+	c := NewPaperCode()
+	rng := sim.NewRNG(17)
+	for trial := 0; trial < 400; trial++ {
+		msg := make([]byte, c.K())
+		for i := range msg {
+			msg[i] = byte(rng.Uint64())
+		}
+		cw, err := c.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nerr := rng.Intn(c.T() + 4)
+		rx := append([]byte(nil), cw...)
+		for _, p := range rng.Shuffled(len(cw))[:nerr] {
+			rx[p] ^= byte(rng.UniformInt(1, 255))
+		}
+		within := c.WithinRadius(cw, rx)
+		if within != (nerr <= c.T()) {
+			t.Fatalf("%d errors: WithinRadius = %v", nerr, within)
+		}
+		if !within {
+			continue
+		}
+		got, err := c.Decode(rx)
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("%d errors within radius: decode = %x, %v", nerr, got, err)
+		}
+	}
+	// Runs of codewords are judged codeword by codeword.
+	two := make([]byte, 2*c.N())
+	rx := append([]byte(nil), two...)
+	for i := 0; i < c.T(); i++ {
+		rx[i] ^= 1
+		rx[c.N()+i] ^= 1
+	}
+	if !c.WithinRadius(two, rx) {
+		t.Fatal("t errors in each of two codewords reported beyond radius")
+	}
+	rx[c.N()+c.T()] ^= 1
+	if c.WithinRadius(two, rx) {
+		t.Fatal("t+1 errors in the second codeword reported within radius")
+	}
+	if c.WithinRadius(two, rx[:c.N()]) || c.WithinRadius(two[:10], rx[:10]) {
+		t.Fatal("mismatched or partial lengths reported within radius")
+	}
+}
