@@ -32,13 +32,9 @@ func auditCycle(t *testing.T, n *Network) {
 		plan phy.HalfDuplexPlan
 		used bool
 	}
-	plans := map[frame.UserID]*radio{}
+	var plans [frame.UserIDs]radio
 	get := func(u frame.UserID) *radio {
-		r, ok := plans[u]
-		if !ok {
-			r = &radio{}
-			plans[u] = r
-		}
+		r := &plans[u]
 		r.used = true
 		return r
 	}
@@ -64,7 +60,11 @@ func auditCycle(t *testing.T, n *Network) {
 	// Control-field listening: everyone scheduled must be able to hear
 	// its CF set. The CF2 listener (last-slot user of the previous
 	// cycle) listens to CF2; everyone else to CF1.
-	for u, r := range plans {
+	for i := range plans {
+		u, r := frame.UserID(i), &plans[i]
+		if !r.used {
+			continue
+		}
 		listen := layout.CF1
 		if u == cf2User {
 			listen = layout.CF2

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/osu-netlab/osumac/internal/frame"
 	"github.com/osu-netlab/osumac/internal/phy"
 	"github.com/osu-netlab/osumac/internal/sched"
 	"github.com/osu-netlab/osumac/internal/sim"
+	"github.com/osu-netlab/osumac/internal/traffic"
 )
 
 // BaseStation owns resource arbitration, channel access and
@@ -19,16 +21,19 @@ type BaseStation struct {
 	metrics *Metrics
 	rng     *sim.RNG
 
-	// Registration state.
-	registry map[frame.EIN]frame.UserID
-	einOf    map[frame.UserID]frame.EIN
-	isGPS    map[frame.UserID]bool
-	gps      *GPSSlotTable
+	// Registration state. Per-user tables are indexed by user ID.
+	registry   map[frame.EIN]frame.UserID
+	registered frame.UserSet
+	gpsUsers   frame.UserSet
+	einOf      [frame.UserIDs]frame.EIN
+	gps        *GPSSlotTable
 
-	// Reverse-channel demand bookkeeping.
-	demand       map[frame.UserID]int
+	// Reverse-channel demand bookkeeping: the slots owed to each user,
+	// and when that demand appeared (read only while it is nonzero).
+	demand       [frame.UserIDs]int
 	arrivalSeq   int
-	arrivalOrder map[frame.UserID]int
+	arrivalOrder [frame.UserIDs]int
+	requests     []sched.Request // reused scheduler input
 
 	// Dynamic contention-slot controller.
 	contentionSlots     int
@@ -63,16 +68,10 @@ type BaseStation struct {
 	cf2Scratch frame.ControlFields
 
 	// Forward data queues.
-	fwdQueue map[frame.UserID][]*frame.DataPacket
+	fwdQueue [frame.UserIDs][]*frame.DataPacket
 
-	// Uplink message reassembly: (user, msgID) → received fragment set.
-	asm map[uint32]*asmState
-}
-
-type asmState struct {
-	total    int
-	received map[int]bool
-	bytes    int
+	// Uplink message reassembly.
+	asm reassembly
 }
 
 // NewBaseStation builds the cell controller.
@@ -84,18 +83,12 @@ func NewBaseStation(cfg *Config, metrics *Metrics, rng *sim.RNG) *BaseStation {
 		metrics:         metrics,
 		rng:             rng,
 		registry:        make(map[frame.EIN]frame.UserID),
-		einOf:           make(map[frame.UserID]frame.EIN),
-		isGPS:           make(map[frame.UserID]bool),
 		gps:             NewGPSSlotTable(cfg.DynamicSlotAdjustment),
-		demand:          make(map[frame.UserID]int),
-		arrivalOrder:    make(map[frame.UserID]int),
 		contentionSlots: cfg.MinContentionSlots,
 		prevLast:        -1,
 		cf2User:         frame.NoUser,
 		curLastTx:       frame.NoUser,
 		lastAssign:      frame.NoUser,
-		fwdQueue:        make(map[frame.UserID][]*frame.DataPacket),
-		asm:             make(map[uint32]*asmState),
 		cf:              frame.NewControlFields(),
 	}
 }
@@ -128,39 +121,28 @@ func (b *BaseStation) Page(user frame.UserID) {
 // EnqueueForward queues an application message of the given size for
 // downlink delivery to user; it is fragmented into data packets.
 func (b *BaseStation) EnqueueForward(user frame.UserID, msgID uint16, size int) error {
-	if _, ok := b.einOf[user]; !ok {
+	if !b.registered.Has(user) {
 		return fmt.Errorf("core: forward enqueue for unknown user %v", user)
 	}
-	frags := fragmentSizes(size)
-	for i, fs := range frags {
+	total := traffic.FragCount(size, frame.MaxPayload)
+	for i := 0; i < total; i++ {
 		b.fwdQueue[user] = append(b.fwdQueue[user], &frame.DataPacket{
 			Header: frame.DataHeader{
 				User:      user,
 				MsgID:     msgID,
 				Frag:      uint8(i),
-				FragTotal: uint8(len(frags)),
+				FragTotal: uint8(total),
 			},
-			Payload: make([]byte, fs),
+			Payload: make([]byte, fragmentSize(size, i)),
 		})
 	}
 	return nil
 }
 
-// fragmentSizes splits an application message into MAC payload sizes.
-func fragmentSizes(size int) []int {
-	if size <= 0 {
-		return []int{0}
-	}
-	var out []int
-	for size > 0 {
-		n := size
-		if n > frame.MaxPayload {
-			n = frame.MaxPayload
-		}
-		out = append(out, n)
-		size -= n
-	}
-	return out
+// fragmentSize is the MAC payload size of fragment i of an application
+// message; traffic.FragCount gives the number of fragments.
+func fragmentSize(size, i int) int {
+	return max(0, min(frame.MaxPayload, size-i*frame.MaxPayload))
 }
 
 // BeginCycle computes the schedule for cycle k and the CF1 contents.
@@ -264,13 +246,8 @@ func (b *BaseStation) BeginCycle() {
 	b.fixCF2UserEarlySlots(cf, d)
 	// Deduct granted slots from demand.
 	for i := 0; i < d; i++ {
-		u := cf.ReverseSchedule[i]
-		if u != frame.NoUser && b.demand[u] > 0 {
+		if u := cf.ReverseSchedule[i]; u.Valid() && b.demand[u] > 0 {
 			b.demand[u]--
-			if b.demand[u] == 0 {
-				delete(b.demand, u)
-				delete(b.arrivalOrder, u)
-			}
 		}
 	}
 
@@ -348,25 +325,23 @@ func (b *BaseStation) assignForward(cf *frame.ControlFields, d int) [frame.Forwa
 	for i := range out {
 		out[i] = frame.NoUser
 	}
-	var demands []sched.Request
+	b.requests = b.requests[:0]
 	for u, q := range b.fwdQueue {
 		if len(q) > 0 {
-			demands = append(demands, sched.Request{User: u, Slots: len(q), Arrival: b.arrivalOrder[u]})
+			b.requests = append(b.requests, sched.Request{User: frame.UserID(u), Slots: len(q)})
 		}
 	}
-	if len(demands) == 0 {
+	if len(b.requests) == 0 {
 		return out
 	}
-	tx := make(map[frame.UserID][]phy.Interval)
+	var tx [frame.UserIDs][]phy.Interval
 	for i := 0; i < d; i++ {
-		u := cf.ReverseSchedule[i]
-		if u != frame.NoUser {
+		if u := cf.ReverseSchedule[i]; u.Valid() {
 			tx[u] = append(tx[u], b.layout.ReverseData[i])
 		}
 	}
 	for i, iv := range b.layout.GPS {
-		u := cf.GPSSchedule[i]
-		if u != frame.NoUser {
+		if u := cf.GPSSchedule[i]; u.Valid() {
 			tx[u] = append(tx[u], iv)
 		}
 	}
@@ -374,7 +349,7 @@ func (b *BaseStation) assignForward(cf *frame.ControlFields, d int) [frame.Forwa
 	if b.cfg.SecondControlField {
 		cf2 = b.cf2User
 	}
-	assigned := sched.AssignForward(demands, sched.ForwardConstraints{
+	assigned := sched.AssignForward(b.requests, sched.ForwardConstraints{
 		SlotIntervals: b.layout.ForwardData,
 		TxIntervals:   tx,
 		CF2User:       cf2,
@@ -456,13 +431,16 @@ func scheduleHas(sched [frame.GPSScheduleEntries]frame.UserID, user frame.UserID
 	return false
 }
 
-// pendingRequests converts the demand book into scheduler requests.
+// pendingRequests converts the demand book into scheduler requests, in
+// user-ID order. The slice is reused across cycles.
 func (b *BaseStation) pendingRequests() []sched.Request {
-	var out []sched.Request
+	b.requests = b.requests[:0]
 	for u, n := range b.demand {
-		out = append(out, sched.Request{User: u, Slots: n, Arrival: b.arrivalOrder[u]})
+		if n > 0 {
+			b.requests = append(b.requests, sched.Request{User: frame.UserID(u), Slots: n, Arrival: b.arrivalOrder[u]})
+		}
 	}
-	return out
+	return b.requests
 }
 
 // addDemand books n reverse slots owed to user.
@@ -470,7 +448,7 @@ func (b *BaseStation) addDemand(user frame.UserID, n int) {
 	if n <= 0 || !user.Valid() {
 		return
 	}
-	if _, ok := b.demand[user]; !ok {
+	if b.demand[user] == 0 {
 		b.arrivalOrder[user] = b.arrivalSeq
 		b.arrivalSeq++
 	}
@@ -551,7 +529,7 @@ func (b *BaseStation) recordPacket(slot int, intoPrev bool, isLastSlot bool, pkt
 	switch pkt.Type {
 	case frame.TypeData:
 		h := pkt.Data.Header
-		if _, known := b.einOf[h.User]; !known {
+		if !b.registered.Has(h.User) {
 			return out // stale packet from a deregistered user
 		}
 		if contention {
@@ -570,10 +548,9 @@ func (b *BaseStation) recordPacket(slot int, intoPrev bool, isLastSlot bool, pkt
 			b.metrics.LastSlotDataPkts.Inc()
 		}
 		b.metrics.DataSlotsUsed.Inc()
-		dup, done, total := b.reassemble(h, len(pkt.Data.Payload))
+		dup, done, total := b.asm.add(h, len(pkt.Data.Payload))
 		if !dup {
-			b.metrics.BytesDelivered.Addn(uint64(len(pkt.Data.Payload)))
-			b.metrics.PerUserBytes[h.User] += uint64(len(pkt.Data.Payload))
+			b.metrics.recordDelivered(h.User, len(pkt.Data.Payload))
 		}
 		if done {
 			out.MessageComplete = true
@@ -583,7 +560,7 @@ func (b *BaseStation) recordPacket(slot int, intoPrev bool, isLastSlot bool, pkt
 		}
 	case frame.TypeReservation:
 		r := pkt.Reservation
-		if _, known := b.einOf[r.User]; !known {
+		if !b.registered.Has(r.User) {
 			return out
 		}
 		acks[slot] = frame.ReverseACK{User: r.User}
@@ -627,14 +604,8 @@ func (b *BaseStation) admit(req *frame.RegistrationRequest) (frame.UserID, bool)
 	if len(b.registry) >= phy.MaxDataUsers-1 {
 		return frame.NoUser, false
 	}
-	var user frame.UserID = frame.NoUser
-	for id := frame.UserID(0); id <= frame.MaxUserID; id++ {
-		if _, taken := b.einOf[id]; !taken {
-			user = id
-			break
-		}
-	}
-	if user == frame.NoUser {
+	user := (^b.registered).First() // lowest free ID
+	if !user.Valid() {
 		return frame.NoUser, false
 	}
 	if req.WantGPS {
@@ -643,29 +614,33 @@ func (b *BaseStation) admit(req *frame.RegistrationRequest) (frame.UserID, bool)
 		}
 	}
 	b.registry[req.EIN] = user
+	b.registered.Add(user)
 	b.einOf[user] = req.EIN
-	b.isGPS[user] = req.WantGPS
+	if req.WantGPS {
+		b.gpsUsers.Add(user)
+	}
 	return user, true
 }
 
 // Deregister administratively removes a subscriber (sign-off). GPS slot
-// holders release their slot via the dynamic adjustment rules.
+// holders release their slot via the dynamic adjustment rules. The
+// user's demand, forward queue and partial uplink messages go with it,
+// so the next registrant given the same ID starts clean.
 func (b *BaseStation) Deregister(user frame.UserID) error {
-	ein, ok := b.einOf[user]
-	if !ok {
+	if !b.registered.Has(user) {
 		return fmt.Errorf("core: deregister unknown user %v", user)
 	}
-	if b.isGPS[user] {
+	if b.gpsUsers.Has(user) {
 		if err := b.gps.Leave(user); err != nil {
 			return err
 		}
 	}
-	delete(b.registry, ein)
-	delete(b.einOf, user)
-	delete(b.isGPS, user)
-	delete(b.demand, user)
-	delete(b.arrivalOrder, user)
-	delete(b.fwdQueue, user)
+	delete(b.registry, b.einOf[user])
+	b.registered.Remove(user)
+	b.gpsUsers.Remove(user)
+	b.demand[user] = 0
+	b.fwdQueue[user] = nil
+	b.asm = slices.DeleteFunc(b.asm, func(st asmState) bool { return st.user == user })
 	return nil
 }
 
@@ -703,13 +678,12 @@ func (b *BaseStation) RecordGPSDirect(rep *frame.GPSReport) bool {
 // PopForward removes and returns the next queued forward packet for
 // user, or nil.
 func (b *BaseStation) PopForward(user frame.UserID) *frame.DataPacket {
-	q := b.fwdQueue[user]
-	if len(q) == 0 {
+	if int(user) >= len(b.fwdQueue) || len(b.fwdQueue[user]) == 0 {
 		return nil
 	}
-	pkt := q[0]
+	q := b.fwdQueue[user]
 	b.fwdQueue[user] = q[1:]
-	return pkt
+	return q[0]
 }
 
 // ContentionSlotCount exposes the controller state for tests.
@@ -718,30 +692,51 @@ func (b *BaseStation) ContentionSlotCount() int { return b.contentionSlots }
 // GPSTable exposes the slot table for tests and the harness.
 func (b *BaseStation) GPSTable() *GPSSlotTable { return b.gps }
 
-// reassemble tracks uplink fragments; it reports whether the fragment
-// was a duplicate retransmission, whether it completed a message, and
-// the completed message's total payload size.
-func (b *BaseStation) reassemble(h frame.DataHeader, payloadLen int) (dup, done bool, total int) {
+// reassembly is one receiver's in-progress messages, keyed by sender
+// and message ID. Few are open at once and the newest sits last, so a
+// reused slice scanned backward serves where a map would allocate per
+// message.
+type reassembly []asmState
+
+// asmState is one message's received-fragment set.
+type asmState struct {
+	user     frame.UserID
+	msgID    uint16
+	total    int // fragments in the message
+	count    int // distinct fragments received
+	bytes    int
+	received [4]uint64 // bitset over the 8-bit fragment index
+}
+
+// add records a fragment of payloadLen bytes. It reports whether the
+// fragment was a duplicate retransmission, whether it completed its
+// message, and the completed message's total payload size.
+func (r *reassembly) add(h frame.DataHeader, payloadLen int) (dup, done bool, total int) {
 	if h.FragTotal == 0 {
 		return false, false, 0
 	}
-	key := uint32(h.User)<<16 | uint32(h.MsgID)
-	st, ok := b.asm[key]
-	if !ok {
-		//lint:ignore hotpathalloc one amortized allocation per uplink message, paid identically by both engines; the idle steady state never reaches it
-		st = &asmState{total: int(h.FragTotal), received: make(map[int]bool)}
-		b.asm[key] = st
+	i := len(*r) - 1
+	for i >= 0 && ((*r)[i].user != h.User || (*r)[i].msgID != h.MsgID) {
+		i--
 	}
-	if st.received[int(h.Frag)] {
+	if i < 0 {
+		*r = append(*r, asmState{user: h.User, msgID: h.MsgID, total: int(h.FragTotal)})
+		i = len(*r) - 1
+	}
+	st := &(*r)[i]
+	word, bit := h.Frag/64, uint64(1)<<(h.Frag%64)
+	if st.received[word]&bit != 0 {
 		return true, false, 0
 	}
-	st.received[int(h.Frag)] = true
+	st.received[word] |= bit
+	st.count++
 	st.bytes += payloadLen
-	if len(st.received) == st.total {
-		delete(b.asm, key)
-		return false, true, st.bytes
+	if st.count < st.total {
+		return false, false, 0
 	}
-	return false, false, 0
+	total = st.bytes
+	*r = slices.Delete(*r, i, i+1)
+	return false, true, total
 }
 
 // emptyAcks returns an all-empty ACK vector.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/osu-netlab/osumac/internal/frame"
 	"github.com/osu-netlab/osumac/internal/sim"
+	"github.com/osu-netlab/osumac/internal/traffic"
 )
 
 func newTestBase(t *testing.T, mutate func(*Config)) (*BaseStation, *Metrics) {
@@ -258,6 +260,34 @@ func TestBaseDeregister(t *testing.T) {
 	if err := b.Deregister(u); err == nil {
 		t.Fatal("double deregister allowed")
 	}
+	for _, id := range []frame.UserID{frame.NoUser, 64, 255} {
+		if err := b.Deregister(id); err == nil {
+			t.Fatalf("deregister of unassignable ID %v allowed", id)
+		}
+	}
+}
+
+// A deregistered user's partial uplink message must not leak into the
+// next registrant given the same ID.
+func TestBaseDeregisterDropsPartialUplink(t *testing.T) {
+	b, m := newTestBase(t, nil)
+	b.BeginCycle()
+	u := register(t, b, 100, false)
+	b.RecordReverse(1, false, false, [][]byte{dataPayload(t, u, 0, 0, 0, 2, 40)}, false)
+	if err := b.Deregister(u); err != nil {
+		t.Fatal(err)
+	}
+	if v := register(t, b, 200, false); v != u {
+		t.Fatalf("re-registrant got ID %v, want the freed %v", v, u)
+	}
+	b.RecordReverse(2, false, false, [][]byte{dataPayload(t, u, 0, 0, 0, 2, 10)}, false)
+	if got := m.BytesDelivered.Value(); got != 50 {
+		t.Fatalf("bytes delivered = %d, want 50: the new owner's first fragment was taken for a duplicate", got)
+	}
+	out := b.RecordReverse(3, false, false, [][]byte{dataPayload(t, u, 0, 0, 1, 2, 10)}, false)
+	if !out.MessageComplete || out.Bytes != 20 {
+		t.Fatalf("completion = %+v, want the new owner's 20 B", out)
+	}
 }
 
 func TestBaseStaleDataFromDeregisteredUser(t *testing.T) {
@@ -311,14 +341,12 @@ func TestBaseFragmentationSizes(t *testing.T) {
 		{120, []int{41, 41, 38}},
 	}
 	for _, c := range cases {
-		got := fragmentSizes(c.size)
-		if len(got) != len(c.want) {
-			t.Fatalf("fragmentSizes(%d) = %v, want %v", c.size, got, c.want)
+		var got []int
+		for i := 0; i < traffic.FragCount(c.size, frame.MaxPayload); i++ {
+			got = append(got, fragmentSize(c.size, i))
 		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("fragmentSizes(%d) = %v, want %v", c.size, got, c.want)
-			}
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("fragment sizes of %d B = %v, want %v", c.size, got, c.want)
 		}
 	}
 }
@@ -330,8 +358,13 @@ func TestBaseForwardQueueing(t *testing.T) {
 	if err := b.EnqueueForward(u, 1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.EnqueueForward(frame.UserID(50), 1, 100); err == nil {
-		t.Fatal("enqueue for unknown user allowed")
+	for _, id := range []frame.UserID{50, frame.NoUser, 64, 255} {
+		if err := b.EnqueueForward(id, 1, 100); err == nil {
+			t.Fatalf("enqueue for unknown user %v allowed", id)
+		}
+		if b.PopForward(id) != nil {
+			t.Fatalf("packet popped for unknown user %v", id)
+		}
 	}
 	b.BeginCycle()
 	// Forward schedule must carry the user.

@@ -22,15 +22,23 @@ func admitN(t *testing.T, tbl *GPSSlotTable, n int) []frame.UserID {
 	return users
 }
 
+// grants is a grant schedule inverted: the granted users, and each
+// one's slot (the last, should a user appear twice).
+type grants struct {
+	users frame.UserSet
+	slot  [frame.UserIDs]int
+}
+
 // grantedSet collects the non-empty entries of a grant schedule.
-func grantedSet(s [frame.GPSScheduleEntries]frame.UserID) map[frame.UserID]int {
-	out := make(map[frame.UserID]int)
+func grantedSet(s [frame.GPSScheduleEntries]frame.UserID) grants {
+	var g grants
 	for i, u := range s {
 		if u != frame.NoUser {
-			out[u] = i
+			g.users.Add(u)
+			g.slot[u] = i
 		}
 	}
-	return out
+	return g
 }
 
 // TestGrantScheduleServesEveryUserEveryCycle is the starvation-freedom
@@ -53,12 +61,12 @@ func TestGrantScheduleServesEveryUserEveryCycle(t *testing.T) {
 				for cycle := 0; cycle < 6; cycle++ {
 					s := tbl.GrantSchedule(tc.onAir)
 					got := grantedSet(s)
-					if len(got) != pop {
-						t.Fatalf("cycle %d: %d users granted, want %d: %v", cycle, len(got), pop, s)
+					if got.users.Len() != pop {
+						t.Fatalf("cycle %d: %d users granted, want %d: %v", cycle, got.users.Len(), pop, s)
 					}
 					for _, u := range users {
-						slot, ok := got[u]
-						if !ok {
+						slot := got.slot[u]
+						if !got.users.Has(u) {
 							t.Fatalf("cycle %d: user %v starved: %v", cycle, u, s)
 						}
 						if slot >= pop {
@@ -136,12 +144,12 @@ func TestGrantScheduleDepartureOnlyAdvances(t *testing.T) {
 	}
 	after := tbl.GrantSchedule(phy.MaxGPSUsers)
 	rankAfter := grantedSet(after)
-	if len(rankAfter) != 5 {
-		t.Fatalf("population after departure = %d, want 5: %v", len(rankAfter), after)
+	if rankAfter.users.Len() != 5 {
+		t.Fatalf("population after departure = %d, want 5: %v", rankAfter.users.Len(), after)
 	}
-	for u, r := range rankAfter {
-		if r > rankBefore[u] {
-			t.Fatalf("user %v moved later after a departure: slot %d → %d", u, rankBefore[u], r)
+	for _, u := range rankAfter.users.AppendTo(nil) {
+		if r := rankAfter.slot[u]; r > rankBefore.slot[u] {
+			t.Fatalf("user %v moved later after a departure: slot %d → %d", u, rankBefore.slot[u], r)
 		}
 	}
 }
@@ -170,7 +178,7 @@ func TestGrantScheduleFormat2Coalescing(t *testing.T) {
 		s := tbl.GrantSchedule(phy.Format2GPSSlots)
 		got := grantedSet(s)
 		for _, u := range []frame.UserID{1, 3, 4} {
-			if slot, ok := got[u]; !ok || slot >= phy.Format2GPSSlots {
+			if !got.users.Has(u) || got.slot[u] >= phy.Format2GPSSlots {
 				t.Fatalf("cycle %d: user %v not served within format 2's slots: %v", cycle, u, s)
 			}
 		}
@@ -186,17 +194,17 @@ func TestGrantScheduleOverCapacityRotates(t *testing.T) {
 	const pop, onAir = 5, 3
 	tbl := NewGPSSlotTable(true)
 	users := admitN(t, tbl, pop)
-	lastGranted := make(map[frame.UserID]int)
+	var lastGranted [frame.UserIDs]int
 	for _, u := range users {
 		lastGranted[u] = -1
 	}
 	for cycle := 0; cycle < 10; cycle++ {
 		s := tbl.GrantSchedule(onAir)
 		got := grantedSet(s)
-		if len(got) != onAir {
-			t.Fatalf("cycle %d: %d grants, want %d: %v", cycle, len(got), onAir, s)
+		if got.users.Len() != onAir {
+			t.Fatalf("cycle %d: %d grants, want %d: %v", cycle, got.users.Len(), onAir, s)
 		}
-		for u := range got {
+		for _, u := range got.users.AppendTo(nil) {
 			lastGranted[u] = cycle
 		}
 		for _, u := range users {

@@ -36,9 +36,9 @@ func FuzzGPSGrantTable(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tbl := NewGPSSlotTable(true)
-		members := make(map[frame.UserID]bool)
+		var members frame.UserSet
 		// clock models lastSeq: admission and every issued grant bump it.
-		clock := make(map[frame.UserID]uint64)
+		var clock [frame.UserIDs]uint64
 		var now uint64
 		tick := func(u frame.UserID) { now++; clock[u] = now }
 
@@ -48,23 +48,23 @@ func FuzzGPSGrantTable(f *testing.F) {
 			case 0: // admit
 				_, err := tbl.Admit(user)
 				switch {
-				case members[user] && err == nil:
+				case members.Has(user) && err == nil:
 					t.Fatalf("double admission of %v accepted", user)
-				case !members[user] && len(members) < phy.MaxGPSUsers && err != nil:
+				case !members.Has(user) && members.Len() < phy.MaxGPSUsers && err != nil:
 					t.Fatalf("admission of %v refused with %d/%d slots used: %v",
-						user, len(members), phy.MaxGPSUsers, err)
+						user, members.Len(), phy.MaxGPSUsers, err)
 				}
 				if err == nil {
-					members[user] = true
+					members.Add(user)
 					tick(user)
 				}
 			case 1: // leave
 				err := tbl.Leave(user)
-				if members[user] != (err == nil) {
-					t.Fatalf("leave(%v) err=%v with membership %v", user, err, members[user])
+				if members.Has(user) != (err == nil) {
+					t.Fatalf("leave(%v) err=%v with membership %v", user, err, members.Has(user))
 				}
-				delete(members, user)
-				delete(clock, user)
+				members.Remove(user)
+				clock[user] = 0
 			case 2: // grant cycle
 				onAir := phy.MaxGPSUsers
 				if op&4 != 0 {
@@ -93,24 +93,25 @@ func FuzzGPSGrantTable(f *testing.F) {
 				}
 			case 3: // out-of-band grant (CF2 amendment)
 				tbl.Granted(user)
-				if members[user] {
+				if members.Has(user) {
 					tick(user)
 				}
 			}
 			if !tbl.Consolidated() {
 				t.Fatalf("table lost consolidation after op %#x", op)
 			}
-			if tbl.Active() != len(members) {
-				t.Fatalf("population drifted: table %d, model %d", tbl.Active(), len(members))
+			if tbl.Active() != members.Len() {
+				t.Fatalf("population drifted: table %d, model %d", tbl.Active(), members.Len())
 			}
 		}
 	})
 }
 
 // verifySchedule checks structural schedule invariants for one cycle.
-func verifySchedule(t *testing.T, s [frame.GPSScheduleEntries]frame.UserID, members map[frame.UserID]bool, onAir int) {
+func verifySchedule(t *testing.T, s [frame.GPSScheduleEntries]frame.UserID, members frame.UserSet, onAir int) {
 	t.Helper()
-	granted := make(map[frame.UserID]int)
+	g := grantedSet(s)
+	var seen frame.UserSet
 	for i, u := range s {
 		if u == frame.NoUser {
 			continue
@@ -118,25 +119,25 @@ func verifySchedule(t *testing.T, s [frame.GPSScheduleEntries]frame.UserID, memb
 		if i >= onAir {
 			t.Fatalf("grant beyond the %d on-air slots: %v", onAir, s)
 		}
-		if !members[u] {
+		if !members.Has(u) {
 			t.Fatalf("grant to non-member %v: %v", u, s)
 		}
-		if j, dup := granted[u]; dup {
-			t.Fatalf("user %v granted slots %d and %d: %v", u, j, i, s)
+		if seen.Has(u) {
+			t.Fatalf("user %v granted slots %d and %d: %v", u, g.slot[u], i, s)
 		}
-		granted[u] = i
+		seen.Add(u)
 	}
-	if len(members) <= onAir {
+	if members.Len() <= onAir {
 		// Starvation-freedom: everyone served, packed at the front.
-		if len(granted) != len(members) {
-			t.Fatalf("%d of %d members granted with room for all: %v", len(granted), len(members), s)
+		if g.users.Len() != members.Len() {
+			t.Fatalf("%d of %d members granted with room for all: %v", g.users.Len(), members.Len(), s)
 		}
-		for u, i := range granted {
-			if i >= len(members) {
-				t.Fatalf("member %v granted slot %d beyond the first %d: %v", u, i, len(members), s)
+		for _, u := range g.users.AppendTo(nil) {
+			if g.slot[u] >= members.Len() {
+				t.Fatalf("member %v granted slot %d beyond the first %d: %v", u, g.slot[u], members.Len(), s)
 			}
 		}
-	} else if len(granted) != onAir {
-		t.Fatalf("over-capacity cycle granted %d slots, want all %d: %v", len(granted), onAir, s)
+	} else if g.users.Len() != onAir {
+		t.Fatalf("over-capacity cycle granted %d slots, want all %d: %v", g.users.Len(), onAir, s)
 	}
 }

@@ -114,7 +114,7 @@ func TestGPSShiftDownOnlyMovesEarlier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := map[frame.UserID]int{}
+	var before [frame.UserIDs]int
 	for _, u := range users {
 		before[u] = tb.SlotOf(u)
 	}
@@ -175,40 +175,40 @@ func TestGPSSnapshot(t *testing.T) {
 func TestPropertyGPSTableInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		tb := NewGPSSlotTable(true)
-		members := map[frame.UserID]bool{}
+		var members frame.UserSet
 		for _, op := range ops {
 			u := frame.UserID(op % 32)
-			if members[u] {
-				pre := map[frame.UserID]int{}
-				for m := range members {
+			if members.Has(u) {
+				var pre [frame.UserIDs]int
+				for _, m := range members.AppendTo(nil) {
 					pre[m] = tb.SlotOf(m)
 				}
 				if err := tb.Leave(u); err != nil {
 					return false
 				}
-				delete(members, u)
-				for m := range members {
+				members.Remove(u)
+				for _, m := range members.AppendTo(nil) {
 					if tb.SlotOf(m) > pre[m] {
 						return false // moved later: R3 safety broken
 					}
 				}
-			} else if len(members) < 8 {
+			} else if members.Len() < 8 {
 				slot, err := tb.Admit(u)
 				if err != nil {
 					return false
 				}
-				if slot != len(members) {
+				if slot != members.Len() {
 					return false // R2: not the first unused slot
 				}
-				members[u] = true
+				members.Add(u)
 			}
 			if !tb.Consolidated() {
 				return false
 			}
-			if tb.Active() != len(members) {
+			if tb.Active() != members.Len() {
 				return false
 			}
-			wantFormat := FormatFor(len(members))
+			wantFormat := FormatFor(members.Len())
 			if tb.Format() != wantFormat {
 				return false
 			}

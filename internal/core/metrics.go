@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/frame"
@@ -61,9 +60,11 @@ type Metrics struct {
 	CF2Listens       stats.Counter
 
 	// PerUserBytes and PerUserGenerated drive Jain's fairness index
-	// (paper Fig. 11).
-	PerUserBytes     map[frame.UserID]uint64
-	PerUserGenerated map[frame.UserID]uint64
+	// (paper Fig. 11), indexed by user ID. delivered marks the users
+	// with a delivered fragment, even a zero-byte one.
+	PerUserBytes     [frame.UserIDs]uint64
+	PerUserGenerated [frame.UserIDs]uint64
+	delivered        frame.UserSet
 
 	// ForwardPktsSent / Delivered cover the forward data path.
 	ForwardPktsSent      stats.Counter
@@ -105,10 +106,25 @@ type CyclePoint struct {
 
 // NewMetrics returns an empty metrics bundle.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		PerUserBytes:     make(map[frame.UserID]uint64),
-		PerUserGenerated: make(map[frame.UserID]uint64),
+	return &Metrics{}
+}
+
+// recordGenerated counts a new uplink message of user's. An ID beyond
+// the per-user tables counts only toward the totals.
+func (m *Metrics) recordGenerated(user frame.UserID, bytes int) {
+	m.MessagesGenerated.Inc()
+	m.BytesGenerated.Addn(uint64(bytes))
+	if int(user) < len(m.PerUserGenerated) {
+		m.PerUserGenerated[user] += uint64(bytes)
 	}
+}
+
+// recordDelivered counts an uplink fragment of user's delivered for the
+// first time.
+func (m *Metrics) recordDelivered(user frame.UserID, bytes int) {
+	m.BytesDelivered.Addn(uint64(bytes))
+	m.PerUserBytes[user] += uint64(bytes)
+	m.delivered.Add(user)
 }
 
 // Utilization returns the fraction of reverse data slots that carried
@@ -155,40 +171,30 @@ func (m *Metrics) MeanDataSlotsUsed() float64 {
 // Fairness returns Jain's fairness index over per-user service ratios
 // (delivered bytes / generated bytes), the bandwidth share each user
 // acquires relative to its demand (paper Fig. 11). Users with no demand
-// are excluded.
+// are excluded. Users are summed in ID order.
 func (m *Metrics) Fairness() float64 {
-	xs := make([]float64, 0, len(m.PerUserGenerated))
-	for _, u := range sortedUsers(m.PerUserGenerated) {
-		gen := m.PerUserGenerated[u]
-		if gen == 0 {
-			continue
+	var buf [frame.UserIDs]float64
+	xs := buf[:0]
+	for u, gen := range m.PerUserGenerated {
+		if gen > 0 {
+			xs = append(xs, float64(m.PerUserBytes[u])/float64(gen))
 		}
-		xs = append(xs, float64(m.PerUserBytes[u])/float64(gen))
 	}
 	return stats.JainFairness(xs)
 }
 
 // FairnessBytes returns Jain's index over raw per-user delivered bytes,
 // an alternative reading of Fig. 11 that also reflects demand imbalance.
+// Every user with a delivered fragment counts.
 func (m *Metrics) FairnessBytes() float64 {
-	xs := make([]float64, 0, len(m.PerUserBytes))
-	for _, u := range sortedUsers(m.PerUserBytes) {
-		xs = append(xs, float64(m.PerUserBytes[u]))
+	var buf [frame.UserIDs]float64
+	xs := buf[:0]
+	for u, bytes := range m.PerUserBytes {
+		if bytes > 0 || m.delivered.Has(frame.UserID(u)) {
+			xs = append(xs, float64(bytes))
+		}
 	}
 	return stats.JainFairness(xs)
-}
-
-// sortedUsers returns the map's keys in ascending order. Jain's index
-// is a float sum, so the iteration order must not depend on Go's
-// randomized map order or two runs of the same seed could differ in the
-// low bits.
-func sortedUsers(m map[frame.UserID]uint64) []frame.UserID {
-	users := make([]frame.UserID, 0, len(m))
-	for u := range m {
-		users = append(users, u)
-	}
-	slices.Sort(users)
-	return users
 }
 
 // MeanDelayCycles returns the mean message delay expressed in

@@ -55,7 +55,7 @@ type Network struct {
 	OnUplinkComplete func(user frame.UserID, msgID uint16, bytes int)
 	msgMeta          map[uint32]msgMeta
 	fwdMeta          map[uint32]msgMeta
-	nextFwdID        map[frame.UserID]uint16
+	nextFwdID        [frame.UserIDs]uint16
 
 	// Reused codec/channel scratch. The kernel is single-threaded and
 	// every consumer finishes with its buffer before handing control
@@ -151,16 +151,15 @@ func NewNetworkOnSim(cfg Config, kernel *sim.Simulator) (*Network, error) {
 	}
 	root := sim.NewRNG(cfg.Seed)
 	n := &Network{
-		cfg:       cfg,
-		sim:       kernel,
-		codec:     frame.NewCodec(),
-		rootRNG:   root,
-		metrics:   NewMetrics(),
-		byEIN:     make(map[frame.EIN]*subEntry),
-		msgMeta:   make(map[uint32]msgMeta),
-		fwdMeta:   make(map[uint32]msgMeta),
-		nextFwdID: make(map[frame.UserID]uint16),
-		allIdeal:  true,
+		cfg:      cfg,
+		sim:      kernel,
+		codec:    frame.NewCodec(),
+		rootRNG:  root,
+		metrics:  NewMetrics(),
+		byEIN:    make(map[frame.EIN]*subEntry),
+		msgMeta:  make(map[uint32]msgMeta),
+		fwdMeta:  make(map[uint32]msgMeta),
+		allIdeal: true,
 	}
 	if ir, ok := cfg.Tracer.(inlineRecorder); ok {
 		// A ring-fronted terminal tracer (the flight recorder) hands the
@@ -343,9 +342,7 @@ func (n *Network) ScheduleCycles(cycles int, start time.Duration) error {
 // directly on a subscriber (via AddMessage), so its delivery is counted
 // and timed like generated traffic.
 func (n *Network) TrackMessage(user frame.UserID, msgID uint16, bytes int, createdAt time.Duration) {
-	n.metrics.MessagesGenerated.Inc()
-	n.metrics.BytesGenerated.Addn(uint64(bytes))
-	n.metrics.PerUserGenerated[user] += uint64(bytes)
+	n.metrics.recordGenerated(user, bytes)
 	n.msgMeta[msgKey(user, msgID)] = msgMeta{createdAt: createdAt, bytes: bytes}
 	if n.tracing() {
 		n.traceD(EventMessageQueued, user, -1, DetailMsgBytes, int64(msgID), int64(bytes), 0)
@@ -634,9 +631,7 @@ func (n *Network) maybeStartSources(e *subEntry) {
 			// before the call so trace events match data-packet headers.
 			macID := e.sub.NextMsgID()
 			if e.sub.AddMessage(msg.Bytes, now) {
-				n.metrics.MessagesGenerated.Inc()
-				n.metrics.BytesGenerated.Addn(uint64(msg.Bytes))
-				n.metrics.PerUserGenerated[e.sub.ID()] += uint64(msg.Bytes)
+				n.metrics.recordGenerated(e.sub.ID(), msg.Bytes)
 				n.msgMeta[msgKey(e.sub.ID(), uint16(msg.ID))] = msgMeta{createdAt: now, bytes: msg.Bytes}
 				if n.tracing() {
 					n.traceD(EventMessageQueued, e.sub.ID(), -1,

@@ -84,6 +84,13 @@ func TestMessageDeliveredEndToEnd(t *testing.T) {
 	if sub.QueueLen() != 0 {
 		t.Fatalf("queue not drained: %d", sub.QueueLen())
 	}
+	// Messages tracked for NoUser (an inactive subscriber) or an ID
+	// beyond the 6-bit space still count toward the totals.
+	n.TrackMessage(frame.NoUser, 1, 10, n.Sim().Now())
+	n.TrackMessage(200, 1, 10, n.Sim().Now())
+	if m.MessagesGenerated.Value() != 3 || m.PerUserGenerated[frame.NoUser] != 10 {
+		t.Fatalf("generated = %d, NoUser bytes %d", m.MessagesGenerated.Value(), m.PerUserGenerated[frame.NoUser])
+	}
 }
 
 func TestPoissonTrafficConservation(t *testing.T) {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/frame"
 	"github.com/osu-netlab/osumac/internal/phy"
 	"github.com/osu-netlab/osumac/internal/sim"
+	"github.com/osu-netlab/osumac/internal/traffic"
 )
 
 // SubscriberState is the lifecycle of a mobile subscriber.
@@ -35,11 +37,8 @@ func (s SubscriberState) String() string {
 
 // fragment is one queued MAC payload of an application message.
 type fragment struct {
-	msgID     uint16
-	index     int
-	total     int
-	size      int
-	createdAt time.Duration
+	msgID              uint16
+	index, total, size uint8 // header fields, and payload bytes ≤ frame.MaxPayload
 }
 
 // contentionRecord remembers a contention-slot transmission awaiting its
@@ -47,15 +46,15 @@ type fragment struct {
 type contentionRecord struct {
 	slot     int
 	kind     frame.PacketType
-	frag     *fragment // for data-in-contention
-	more     int       // piggybacked request
-	reqSlots int       // explicit reservation size
+	frag     fragment // for data-in-contention
+	more     int      // piggybacked request
+	reqSlots int      // explicit reservation size
 }
 
 // slotRecord remembers a scheduled data-slot transmission awaiting ACK.
 type slotRecord struct {
-	frag *fragment
-	more int
+	frag fragment
+	more uint8 // the header's MoreSlots
 }
 
 // Subscriber is one mobile unit's MAC state machine. All methods run in
@@ -78,7 +77,7 @@ type Subscriber struct {
 	regGaveUp     bool
 
 	// Data queue.
-	pending   []*fragment
+	pending   []fragment
 	nextMsgID uint16
 
 	// Reservation bookkeeping.
@@ -91,9 +90,10 @@ type Subscriber struct {
 	// Listening rule (paper §3.4 problem 2).
 	listenCF2 bool
 
-	// In-flight transmissions awaiting next cycle's ACKs. contend is
-	// the contention transmission, valid while contending is set.
-	sentSlots  map[int]slotRecord
+	// In-flight transmissions awaiting next cycle's ACKs: sentSlots[i]
+	// is valid while bit i of sent is set, contend while contending is.
+	sentSlots  [frame.ReverseScheduleEntries]slotRecord
+	sent       uint16
 	contend    contentionRecord
 	contending bool
 
@@ -103,31 +103,28 @@ type Subscriber struct {
 	gpsHave    bool
 
 	// Downlink reassembly.
-	asm map[uint16]*asmState
+	asm reassembly
 
 	// Pages observed (paper's paging field).
 	PagesSeen int
 
 	pageResponseDue bool
 
-	// planSlots and contSlots are per-cycle scratch so planning
-	// allocates nothing: a CyclePlan's DataSlots alias planSlots and
-	// stay valid until the next OnControlFields call replaces the plan.
+	// planSlots is per-cycle scratch so planning allocates nothing: a
+	// CyclePlan's DataSlots alias it and stay valid until the next
+	// OnControlFields call replaces the plan.
 	planSlots [frame.ReverseScheduleEntries]int
-	contSlots [frame.ReverseScheduleEntries]int
 }
 
 // NewSubscriber builds a subscriber in the Idle state.
 func NewSubscriber(ein frame.EIN, isGPS bool, cfg *Config, rng *sim.RNG) *Subscriber {
 	return &Subscriber{
-		EIN:       ein,
-		IsGPS:     isGPS,
-		cfg:       cfg,
-		rng:       rng,
-		state:     StateIdle,
-		id:        frame.NoUser,
-		sentSlots: make(map[int]slotRecord),
-		asm:       make(map[uint16]*asmState),
+		EIN:   ein,
+		IsGPS: isGPS,
+		cfg:   cfg,
+		rng:   rng,
+		state: StateIdle,
+		id:    frame.NoUser,
 	}
 }
 
@@ -169,7 +166,7 @@ func (s *Subscriber) Deactivate() {
 	s.id = frame.NoUser
 	s.pending = nil
 	s.requestedOutstanding = 0
-	s.sentSlots = make(map[int]slotRecord)
+	s.sent = 0
 	s.contending = false
 	s.listenCF2 = false
 	s.gpsHave = false
@@ -179,20 +176,14 @@ func (s *Subscriber) Deactivate() {
 // AddMessage enqueues an application message, fragmenting it. It
 // reports false when the queue cap drops the message (buffer overflow).
 func (s *Subscriber) AddMessage(size int, now time.Duration) bool {
-	sizes := fragmentSizes(size)
-	if len(s.pending)+len(sizes) > s.cfg.QueueCapFragments {
+	total := traffic.FragCount(size, frame.MaxPayload)
+	if len(s.pending)+total > s.cfg.QueueCapFragments {
 		return false
 	}
 	id := s.nextMsgID
 	s.nextMsgID++
-	for i, fs := range sizes {
-		s.pending = append(s.pending, &fragment{
-			msgID:     id,
-			index:     i,
-			total:     len(sizes),
-			size:      fs,
-			createdAt: now,
-		})
+	for i := 0; i < total; i++ {
+		s.pending = append(s.pending, fragment{msgID: id, index: uint8(i), total: uint8(total), size: uint8(fragmentSize(size, i))})
 	}
 	if !s.hasNeed && s.unrequested() > 0 {
 		s.hasNeed = true
@@ -333,7 +324,7 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 			rec := &s.contend
 			switch s.cfg.Policy {
 			case ReserveWithData:
-				if f := s.popFragment(); f != nil {
+				if f, ok := s.popFragment(); ok {
 					rec.kind = frame.TypeData
 					rec.frag = f
 					rec.more = s.clampMore(s.unrequested())
@@ -381,23 +372,20 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 // resolveAcks settles last cycle's in-flight transmissions against the
 // received ACK vector (nil = control fields lost: assume failure).
 func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
-	// Scheduled data slots, in ascending slot order: requeue order must
-	// be deterministic (map iteration order would randomize which lost
-	// fragment retransmits first when a cycle loses several slots).
-	for slot := 0; slot < frame.ReverseScheduleEntries; slot++ {
-		rec, ok := s.sentSlots[slot]
-		if !ok {
-			continue
-		}
+	// Scheduled data slots, in ascending slot order: when a cycle loses
+	// several, the lowest slot's fragment is requeued first.
+	for m := s.sent; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros16(m)
+		rec := s.sentSlots[slot]
 		acked := cf != nil && slot < len(cf.ReverseACKs) && cf.ReverseACKs[slot].User == s.id
 		if acked {
-			s.requestedOutstanding += rec.more
+			s.requestedOutstanding += int(rec.more)
 		} else {
 			// Lost: requeue the fragment for retransmission.
 			s.requeue(rec.frag)
 		}
-		delete(s.sentSlots, slot)
 	}
+	s.sent = 0
 
 	// Contention transmission.
 	if s.contending {
@@ -440,7 +428,8 @@ func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
 // pickContentionSlot chooses uniformly among usable contention slots.
 // A CF2 listener cannot transmit before CF2 ends plus the switch guard.
 func (s *Subscriber) pickContentionSlot(cf *frame.ControlFields, layout Layout, wasCF2 bool) int {
-	usable := s.contSlots[:0]
+	var buf [frame.ReverseScheduleEntries]int
+	usable := buf[:0]
 	for slot, u := range cf.ReverseSchedule {
 		if u != frame.NoUser || slot >= len(layout.ReverseData) {
 			continue
@@ -480,18 +469,19 @@ func (s *Subscriber) MakeDataPacket(slot int) *frame.DataPacket {
 // zeroed buffer of at least frame.MaxPayload bytes. It reports false
 // when the queue is empty.
 func (s *Subscriber) MakeDataPacketInto(slot int, pkt *frame.DataPacket, payload []byte) bool {
-	f := s.popFragment()
-	if f == nil {
+	f, ok := s.popFragment()
+	if !ok {
 		return false
 	}
-	more := s.clampMore(s.unrequested())
+	more := uint8(s.clampMore(s.unrequested()))
 	s.sentSlots[slot] = slotRecord{frag: f, more: more}
+	s.sent |= 1 << slot
 	pkt.Header = frame.DataHeader{
 		User:      s.id,
-		MoreSlots: uint8(more),
+		MoreSlots: more,
 		MsgID:     f.msgID,
-		Frag:      uint8(f.index),
-		FragTotal: uint8(f.total),
+		Frag:      f.index,
+		FragTotal: f.total,
 	}
 	pkt.Payload = payload[:f.size]
 	return true
@@ -516,8 +506,8 @@ func (s *Subscriber) MakeContentionPacket() ([]byte, error) {
 				User:      s.id,
 				MoreSlots: uint8(rec.more),
 				MsgID:     f.msgID,
-				Frag:      uint8(f.index),
-				FragTotal: uint8(f.total),
+				Frag:      f.index,
+				FragTotal: f.total,
 			},
 			Payload: make([]byte, f.size),
 		}).Marshal()
@@ -564,26 +554,11 @@ func (s *Subscriber) MakeGPSReportInto(rep *frame.GPSReport) (arrival time.Durat
 // subscriber; it returns (complete, msgID, totalBytes) when a message
 // reassembly finishes.
 func (s *Subscriber) ReceiveForward(p *frame.DataPacket) (bool, uint16, int) {
-	h := p.Header
-	if h.FragTotal == 0 {
+	_, done, total := s.asm.add(p.Header, len(p.Payload))
+	if !done {
 		return false, 0, 0
 	}
-	st, ok := s.asm[h.MsgID]
-	if !ok {
-		//lint:ignore hotpathalloc one amortized allocation per downlink message, paid identically by both engines; the idle steady state never reaches it
-		st = &asmState{total: int(h.FragTotal), received: make(map[int]bool)}
-		s.asm[h.MsgID] = st
-	}
-	if st.received[int(h.Frag)] {
-		return false, 0, 0
-	}
-	st.received[int(h.Frag)] = true
-	st.bytes += len(p.Payload)
-	if len(st.received) == st.total {
-		delete(s.asm, h.MsgID)
-		return true, h.MsgID, st.bytes
-	}
-	return false, 0, 0
+	return true, p.Header.MsgID, total
 }
 
 // ObservePaging counts pages addressed to this subscriber and arms a
@@ -604,20 +579,17 @@ func (s *Subscriber) RegistrationCycles(cycle int) int {
 	return cycle - s.regFirstCycle + 1
 }
 
-func (s *Subscriber) popFragment() *fragment {
+func (s *Subscriber) popFragment() (fragment, bool) {
 	if len(s.pending) == 0 {
-		return nil
+		return fragment{}, false
 	}
 	f := s.pending[0]
 	s.pending = s.pending[1:]
-	return f
+	return f, true
 }
 
-func (s *Subscriber) requeue(f *fragment) {
-	if f == nil {
-		return
-	}
-	s.pending = append(s.pending, nil)
+func (s *Subscriber) requeue(f fragment) {
+	s.pending = append(s.pending, fragment{})
 	copy(s.pending[1:], s.pending)
 	s.pending[0] = f
 }

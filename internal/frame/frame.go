@@ -8,6 +8,7 @@ package frame
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/osu-netlab/osumac/internal/bitio"
 	"github.com/osu-netlab/osumac/internal/phy"
@@ -36,6 +37,39 @@ func (u UserID) String() string {
 		return "-"
 	}
 	return fmt.Sprintf("u%d", uint8(u))
+}
+
+// UserIDs is the size of the 6-bit user ID space, NoUser included.
+// Per-user tables have this many entries and are indexed by the ID.
+const UserIDs = 1 << UserIDBits
+
+// UserSet is a set of user IDs, one bit per ID. AppendTo lists the
+// members in ascending ID order, so per-user state is iterated in a
+// deterministic order by construction. IDs beyond the 6-bit space are
+// never members: Add ignores them and Has reports false.
+type UserSet uint64
+
+// Has reports whether u is a member.
+func (s UserSet) Has(u UserID) bool { return s&(1<<u) != 0 }
+
+// Add inserts u.
+func (s *UserSet) Add(u UserID) { *s |= 1 << u }
+
+// Remove deletes u.
+func (s *UserSet) Remove(u UserID) { *s &^= 1 << u }
+
+// First returns the lowest member (UserIDs when the set is empty).
+func (s UserSet) First() UserID { return UserID(bits.TrailingZeros64(uint64(s))) }
+
+// Len returns the number of members.
+func (s UserSet) Len() int { return bits.OnesCount64(uint64(s)) }
+
+// AppendTo appends the members to dst in ascending ID order.
+func (s UserSet) AppendTo(dst []UserID) []UserID {
+	for ; s != 0; s &= s - 1 {
+		dst = append(dst, s.First())
+	}
+	return dst
 }
 
 // EIN is the permanent, universally unique 16-bit equipment

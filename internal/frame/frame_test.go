@@ -2,6 +2,7 @@ package frame
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +115,27 @@ func TestUserID(t *testing.T) {
 	}
 	if UserID(7).String() != "u7" {
 		t.Fatalf("UserID(7).String() = %q", UserID(7).String())
+	}
+}
+
+func TestUserSet(t *testing.T) {
+	var s UserSet
+	for _, u := range []UserID{NoUser, 40, 0, 7, 40} {
+		s.Add(u)
+	}
+	s.Remove(7)
+	s.Remove(9) // absent: no-op
+	// IDs beyond the 6-bit space are never members.
+	s.Add(64)
+	s.Add(255)
+	if got := fmt.Sprint(s.AppendTo(nil)); got != "[u0 u40 -]" || s.Len() != 3 {
+		t.Fatalf("members %s (len %d), want [u0 u40 -]", got, s.Len())
+	}
+	if !s.Has(40) || s.Has(7) || s.Has(64) || s.Has(255) {
+		t.Fatal("membership wrong")
+	}
+	if s.First() != 0 || UserSet(0).First() != UserIDs {
+		t.Fatal("First wrong")
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 )
 
 // determinismPackages are the package path suffixes where wall-clock
-// time, ambient randomness, and racy channel selection are forbidden:
-// the simulation must replay bit-identically from a seed, so all time
-// flows from the virtual clock and all randomness from internal/sim's
-// forkable RNG (see internal/sim/rng.go).
+// time, ambient randomness, racy channel selection and map iteration
+// are forbidden: the simulation must replay bit-identically from a
+// seed, so all time flows from the virtual clock, all randomness from
+// internal/sim's forkable RNG (see internal/sim/rng.go), and every
+// iteration order from construction.
 var determinismPackages = []string{
 	"internal/core",
 	"internal/sched",
@@ -48,7 +49,7 @@ var wallClockWaits = map[string]bool{
 // scheduling-critical packages.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid time.Now, wall-clock waits, global math/rand, and multi-case selects in core, sched, sim, backbone, traffic",
+	Doc:  "forbid time.Now, wall-clock waits, global math/rand, multi-case selects, and range over maps in core, sched, sim, backbone, traffic",
 	Run:  runDeterminism,
 }
 
@@ -91,6 +92,12 @@ func runDeterminism(pass *Pass) {
 			case *ast.SelectStmt:
 				if n.Body != nil && len(n.Body.List) > 1 {
 					pass.Reportf(n.Pos(), "select with %d cases has nondeterministic case ordering; simulation code must use deterministic dispatch", len(n.Body.List))
+				}
+			case *ast.RangeStmt:
+				if t := pass.Pkg.Info.TypeOf(n.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						pass.Reportf(n.Pos(), "range over a map visits keys in randomized order; iterate a table or sorted slice instead")
+					}
 				}
 			}
 			return true

@@ -44,3 +44,24 @@ func Malformed() int {
 	//lint:ignore determinism
 	return 0
 }
+
+// Total sums a map in Go's randomized key order.
+func Total(m map[int]int) int {
+	t := 0
+	for _, v := range m {
+		t += v
+	}
+	return t
+}
+
+// table is a named map type; ranging over it is still map iteration.
+type table map[string]int
+
+// Count walks a named map.
+func Count(t table) int {
+	n := 0
+	for range t {
+		n++
+	}
+	return n
+}

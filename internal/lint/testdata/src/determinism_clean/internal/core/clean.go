@@ -12,3 +12,16 @@ func Drain(c chan int) int {
 		return v
 	}
 }
+
+// Sum walks a per-user table in index order and looks a map up by key,
+// neither of which depends on map iteration order.
+func Sum(table [64]int, ids []int, extra map[int]int) int {
+	t := 0
+	for u, v := range table {
+		t += u * v
+	}
+	for _, id := range ids {
+		t += extra[id]
+	}
+	return t
+}

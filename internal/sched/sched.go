@@ -6,6 +6,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -30,7 +31,8 @@ type ReverseScheduler interface {
 	// Schedule fills the available slot positions with user IDs. avail
 	// lists the assignable slot indices in time order (contention slots
 	// are excluded by the caller). The result is parallel to avail;
-	// frame.NoUser marks a slot left unassigned.
+	// frame.NoUser marks a slot left unassigned. The caller may reuse
+	// requests once Schedule returns.
 	Schedule(requests []Request, avail int) []frame.UserID
 	// Name identifies the scheduler in experiment output.
 	Name() string
@@ -42,8 +44,8 @@ type ReverseScheduler interface {
 // subscriber does not repeatedly switch between transmitting and
 // receiving within the cycle (paper §3.5).
 type RoundRobin struct {
-	// Lump disables the consolidation pass when false-negated; it is on
-	// by default via NewRoundRobin and exposed for the ablation bench.
+	// Lump enables the consolidation pass. NewRoundRobin turns it on;
+	// the ablation bench clears it.
 	Lump bool
 
 	lastServed frame.UserID
@@ -68,40 +70,36 @@ func (r *RoundRobin) Name() string {
 // Schedule implements ReverseScheduler.
 func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
 	out := unassigned(avail)
-	users, demand := dedupe(requests)
-	if len(users) == 0 || avail == 0 {
+	d := dedupe(requests)
+	if d.users == 0 || avail == 0 {
 		return out
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 
-	// Resume the rotation after the last-served user.
-	start := 0
+	// Resume the rotation after the last-served user: the users above it,
+	// then the rest, each part in ascending ID order.
+	var upToLast frame.UserSet
 	if r.haveLast {
-		for i, u := range users {
-			if u > r.lastServed {
-				start = i
-				break
-			}
-		}
+		upToLast = 2<<r.lastServed - 1
 	}
+	var buf [frame.UserIDs]frame.UserID
+	users := (d.users &^ upToLast).AppendTo(buf[:0])
+	users = (d.users & upToLast).AppendTo(users)
 
 	// Round-robin allocation: one slot per user with remaining demand.
-	counts := make(map[frame.UserID]int, len(users))
-	var order []frame.UserID // first-allocation order, drives lumping
+	// Every user wants at least one slot, so the first round serves a
+	// prefix of the rotation; that prefix drives lumping.
+	var counts [frame.UserIDs]int
+	order := users[:min(len(users), avail)]
 	allocated := 0
-	idx := start
 	for allocated < avail {
 		progress := false
 		for n := 0; n < len(users) && allocated < avail; n++ {
-			u := users[(idx+n)%len(users)]
-			if demand[u] == 0 {
+			u := users[n]
+			if d.slots[u] == 0 {
 				continue
 			}
-			if counts[u] == 0 {
-				order = append(order, u)
-			}
 			counts[u]++
-			demand[u]--
+			d.slots[u]--
 			allocated++
 			r.lastServed = u
 			r.haveLast = true
@@ -110,7 +108,6 @@ func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
 		if !progress {
 			break
 		}
-		idx = start // subsequent rounds keep the same rotation order
 	}
 
 	if r.Lump {
@@ -178,16 +175,14 @@ func (LongestQueueFirst) Name() string { return "longest-queue-first" }
 // Schedule implements ReverseScheduler.
 func (LongestQueueFirst) Schedule(requests []Request, avail int) []frame.UserID {
 	out := unassigned(avail)
-	users, demand := dedupe(requests)
-	sort.Slice(users, func(i, j int) bool {
-		if demand[users[i]] != demand[users[j]] {
-			return demand[users[i]] > demand[users[j]]
-		}
-		return users[i] < users[j]
-	})
+	d := dedupe(requests)
+	var buf [frame.UserIDs]frame.UserID
+	users := d.users.AppendTo(buf[:0])
+	// Largest demand first; the stable sort keeps ties in ID order.
+	slices.SortStableFunc(users, func(a, b frame.UserID) int { return d.slots[b] - d.slots[a] })
 	pos := 0
 	for _, u := range users {
-		for n := 0; n < demand[u] && pos < avail; n++ {
+		for n := 0; n < d.slots[u] && pos < avail; n++ {
 			out[pos] = u
 			pos++
 		}
@@ -204,26 +199,28 @@ func unassigned(n int) []frame.UserID {
 	return out
 }
 
-// dedupe merges duplicate per-user requests, summing demands.
-func dedupe(requests []Request) ([]frame.UserID, map[frame.UserID]int) {
-	demand := make(map[frame.UserID]int, len(requests))
-	var users []frame.UserID
+// demand is the slots wanted per user; users holds the IDs wanting any.
+type demand struct {
+	users frame.UserSet
+	slots [frame.UserIDs]int
+}
+
+// dedupe merges duplicate per-user requests, summing demands. Requests
+// for no slots or for an unassignable ID are dropped.
+func dedupe(requests []Request) (d demand) {
 	for _, req := range requests {
-		if req.Slots <= 0 || !req.User.Valid() {
-			continue
+		if req.Slots > 0 && req.User.Valid() {
+			d.users.Add(req.User)
+			d.slots[req.User] += req.Slots
 		}
-		if _, seen := demand[req.User]; !seen {
-			users = append(users, req.User)
-		}
-		demand[req.User] += req.Slots
 	}
-	return users, demand
+	return d
 }
 
 // Lumped reports whether each user's slots form a single contiguous run
 // in the schedule (unassigned slots are transparent): no A…B…A pattern.
 func Lumped(schedule []frame.UserID) bool {
-	finished := make(map[frame.UserID]bool)
+	var finished [256]bool // every uint8 ID, not only the 6-bit ones
 	var current frame.UserID = frame.NoUser
 	for _, u := range schedule {
 		if u == frame.NoUser {
@@ -249,9 +246,9 @@ type ForwardConstraints struct {
 	// SlotIntervals are the forward data slots' air times, in slot-index
 	// order, relative to the forward cycle start.
 	SlotIntervals []phy.Interval
-	// TxIntervals maps each user to its reverse-channel transmit
-	// intervals this cycle (same time origin).
-	TxIntervals map[frame.UserID][]phy.Interval
+	// TxIntervals[u] lists user u's reverse-channel transmit intervals
+	// this cycle (same time origin).
+	TxIntervals [frame.UserIDs][]phy.Interval
 	// CF2User is the subscriber listening to the second control-field
 	// set; it must not receive forward slot 0 (paper §3.4 problem 1).
 	// frame.NoUser when the last reverse slot is unassigned.
@@ -268,57 +265,38 @@ type ForwardConstraints struct {
 // vector (frame.NoUser = idle).
 func AssignForward(demands []Request, c ForwardConstraints) []frame.UserID {
 	out := unassigned(len(c.SlotIntervals))
-	users, remaining := dedupe(demands)
-	if len(users) == 0 {
-		return out
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
+	d := dedupe(demands)
+	var buf [frame.UserIDs]frame.UserID
+	users := d.users.AppendTo(buf[:0])
 
-	plans := make(map[frame.UserID]*phy.HalfDuplexPlan, len(users))
+	var plans [frame.UserIDs]phy.HalfDuplexPlan
 	for _, u := range users {
-		p := &phy.HalfDuplexPlan{Switch: c.Switch}
+		plans[u].Switch = c.Switch
 		for _, iv := range c.TxIntervals[u] {
-			// Reverse transmissions are fixed; recording them cannot
-			// fail on a fresh plan.
-			if err := p.AddTransmit(iv); err != nil {
+			if err := plans[u].AddTransmit(iv); err != nil {
 				// Overlapping reverse slots for one user would be a
 				// scheduling bug upstream; treat the user as
 				// unschedulable this cycle.
-				remaining[u] = 0
+				d.slots[u] = 0
 				break
 			}
 		}
-		plans[u] = p
 	}
 
 	for slot, iv := range c.SlotIntervals {
-		assigned := false
-		for n := 0; n < len(users) && !assigned; n++ {
-			u := users[n]
-			if remaining[u] == 0 {
-				continue
-			}
-			if slot == 0 && u == c.CF2User {
-				continue
-			}
-			if !plans[u].CanReceive(iv) {
+		for n, u := range users {
+			if d.slots[u] == 0 || (slot == 0 && u == c.CF2User) || !plans[u].CanReceive(iv) {
 				continue
 			}
 			if err := plans[u].AddReceive(iv); err != nil {
 				continue
 			}
 			out[slot] = u
-			remaining[u]--
-			assigned = true
-		}
-		// Rotate fairness: move the served user to the back.
-		if assigned {
-			for n, u := range users {
-				if u == out[slot] {
-					users = append(append(append([]frame.UserID{}, users[:n]...), users[n+1:]...), u)
-					break
-				}
-			}
+			d.slots[u]--
+			// Rotate fairness: move the served user to the back.
+			copy(users[n:], users[n+1:])
+			users[len(users)-1] = u
+			break
 		}
 	}
 	return out

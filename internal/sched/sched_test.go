@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,15 +25,15 @@ func TestRoundRobinSplitsSlotsEvenly(t *testing.T) {
 	rr := NewRoundRobin()
 	reqs := []Request{{User: 1, Slots: 5}, {User: 2, Slots: 5}, {User: 3, Slots: 5}}
 	got := rr.Schedule(reqs, 8)
-	counts := map[frame.UserID]int{}
+	var counts [frame.UserIDs]int
 	for _, u := range got {
 		if u != frame.NoUser {
 			counts[u]++
 		}
 	}
 	// 8 slots across 3 users: 3-3-2 or a rotation of it.
-	for u, c := range counts {
-		if c < 2 || c > 3 {
+	for _, u := range []frame.UserID{1, 2, 3} {
+		if c := counts[u]; c < 2 || c > 3 {
 			t.Fatalf("user %v got %d slots: %v", u, c, got)
 		}
 	}
@@ -91,15 +93,19 @@ func TestRoundRobinRotatesAcrossCycles(t *testing.T) {
 }
 
 func TestRoundRobinIgnoresInvalidRequests(t *testing.T) {
-	rr := NewRoundRobin()
-	got := rr.Schedule([]Request{
+	invalid := []Request{
 		{User: frame.NoUser, Slots: 3},
 		{User: 5, Slots: 0},
 		{User: 6, Slots: -2},
-	}, 4)
-	for _, u := range got {
-		if u != frame.NoUser {
-			t.Fatalf("invalid request scheduled: %v", got)
+		{User: 64, Slots: 2},
+		{User: 255, Slots: 1},
+	}
+	for _, s := range []ReverseScheduler{NewRoundRobin(), &RoundRobin{}, LongestQueueFirst{}} {
+		got := s.Schedule(invalid, 4)
+		for _, u := range got {
+			if u != frame.NoUser {
+				t.Fatalf("%s scheduled an invalid request: %v", s.Name(), got)
+			}
 		}
 	}
 }
@@ -154,6 +160,47 @@ func TestLongestQueueFirst(t *testing.T) {
 	}
 }
 
+// permutations calls f with every ordering of reqs.
+func permutations(reqs []Request, f func([]Request)) {
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(reqs) {
+			f(reqs)
+			return
+		}
+		for i := k; i < len(reqs); i++ {
+			reqs[k], reqs[i] = reqs[i], reqs[k]
+			rec(k + 1)
+			reqs[k], reqs[i] = reqs[i], reqs[k]
+		}
+	}
+	rec(0)
+}
+
+// The order-insensitive schedulers must not depend on the order of the
+// request list, duplicates included. FCFS is excluded: tied arrivals
+// legitimately keep their input order.
+func TestSchedulersIgnoreRequestOrder(t *testing.T) {
+	reqs := []Request{{User: 3, Slots: 2}, {User: 1, Slots: 1}, {User: 3, Slots: 1}, {User: 7, Slots: 4}, {User: 1, Slots: 2}, {User: 2, Slots: 1}}
+	slots := fwdSlots(9, 0, 90*time.Millisecond, 4*time.Millisecond)
+	var tx [frame.UserIDs][]phy.Interval
+	tx[3] = []phy.Interval{{Start: 100 * time.Millisecond, End: 200 * time.Millisecond}}
+	run := func(reqs []Request) string {
+		var out []frame.UserID
+		out = append(out, NewRoundRobin().Schedule(reqs, 7)...)
+		out = append(out, (&RoundRobin{}).Schedule(reqs, 7)...)
+		out = append(out, LongestQueueFirst{}.Schedule(reqs, 7)...)
+		out = append(out, AssignForward(reqs, ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: 1})...)
+		return fmt.Sprint(out)
+	}
+	want := run(reqs)
+	permutations(slices.Clone(reqs), func(p []Request) {
+		if got := run(p); got != want {
+			t.Fatalf("order %v: schedules %s, want %s", p, got, want)
+		}
+	})
+}
+
 func TestSchedulerNames(t *testing.T) {
 	for _, s := range []ReverseScheduler{NewRoundRobin(), &RoundRobin{}, FCFS{}, LongestQueueFirst{}} {
 		if s.Name() == "" {
@@ -175,6 +222,11 @@ func TestLumped(t *testing.T) {
 		{[]frame.UserID{1, nu, 2, nu, 1}, false},
 		{nil, true},
 		{[]frame.UserID{nu, nu}, true},
+		// IDs beyond the 6-bit space are still distinct users.
+		{[]frame.UserID{64, 64, 200, 255}, true},
+		{[]frame.UserID{200, 100, 200}, false},
+		{[]frame.UserID{255, nu, 127, 255}, false},
+		{[]frame.UserID{64, 0, 64}, false},
 	}
 	for _, c := range cases {
 		if got := Lumped(c.in); got != c.want {
@@ -190,7 +242,7 @@ func TestPropertyRoundRobinInvariants(t *testing.T) {
 		rr := NewRoundRobin()
 		avail := int(availRaw % 10)
 		var reqs []Request
-		demand := map[frame.UserID]int{}
+		var demand [frame.UserIDs]int
 		for i, d := range demandsRaw {
 			if i >= 12 {
 				break
@@ -204,7 +256,7 @@ func TestPropertyRoundRobinInvariants(t *testing.T) {
 		if len(got) != avail {
 			return false
 		}
-		counts := map[frame.UserID]int{}
+		var counts [frame.UserIDs]int
 		total := 0
 		for _, u := range got {
 			if u == frame.NoUser {
@@ -245,7 +297,7 @@ func TestPropertyRoundRobinFairSplit(t *testing.T) {
 			reqs = append(reqs, Request{User: frame.UserID(i), Slots: avail})
 		}
 		got := rr.Schedule(reqs, avail)
-		counts := map[frame.UserID]int{}
+		var counts [frame.UserIDs]int
 		for _, u := range got {
 			if u != frame.NoUser {
 				counts[u]++
@@ -281,9 +333,8 @@ func TestAssignForwardRespectsHalfDuplex(t *testing.T) {
 	slots := fwdSlots(4, 0, 90*time.Millisecond, 0)
 	// User 1 transmits on the reverse channel exactly during forward
 	// slot 1 (and within 20 ms of slots 0 and 2).
-	tx := map[frame.UserID][]phy.Interval{
-		1: {{Start: 95 * time.Millisecond, End: 175 * time.Millisecond}},
-	}
+	var tx [frame.UserIDs][]phy.Interval
+	tx[1] = []phy.Interval{{Start: 95 * time.Millisecond, End: 175 * time.Millisecond}}
 	got := AssignForward(
 		[]Request{{User: 1, Slots: 4}},
 		ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: frame.NoUser},
@@ -303,7 +354,7 @@ func TestAssignForwardCF2UserSkipsFirstSlot(t *testing.T) {
 	slots := fwdSlots(3, 0, 90*time.Millisecond, 10*time.Millisecond)
 	got := AssignForward(
 		[]Request{{User: 5, Slots: 3}},
-		ForwardConstraints{SlotIntervals: slots, TxIntervals: nil, CF2User: 5},
+		ForwardConstraints{SlotIntervals: slots, CF2User: 5},
 	)
 	if got[0] != frame.NoUser {
 		t.Fatalf("CF2 user assigned forward slot 0: %v", got)
@@ -326,10 +377,13 @@ func TestAssignForwardSharesAcrossUsers(t *testing.T) {
 
 func TestAssignForwardNoDemand(t *testing.T) {
 	slots := fwdSlots(2, 0, 90*time.Millisecond, 0)
-	got := AssignForward(nil, ForwardConstraints{SlotIntervals: slots, CF2User: frame.NoUser})
-	for _, u := range got {
-		if u != frame.NoUser {
-			t.Fatal("slots assigned without demand")
+	// Requests outside the 6-bit ID space are demand from nobody.
+	for _, reqs := range [][]Request{nil, {{User: 64, Slots: 2}, {User: 255, Slots: 1}}} {
+		got := AssignForward(reqs, ForwardConstraints{SlotIntervals: slots, CF2User: frame.NoUser})
+		for _, u := range got {
+			if u != frame.NoUser {
+				t.Fatalf("slots assigned without demand: %v", got)
+			}
 		}
 	}
 }
@@ -339,7 +393,7 @@ func TestAssignForwardNoDemand(t *testing.T) {
 func TestPropertyAssignForwardFeasible(t *testing.T) {
 	f := func(txStartsRaw []uint8, demandRaw [4]uint8) bool {
 		slots := fwdSlots(8, 0, 90*time.Millisecond, 4*time.Millisecond)
-		tx := map[frame.UserID][]phy.Interval{}
+		var tx [frame.UserIDs][]phy.Interval
 		for i, s := range txStartsRaw {
 			if i >= 4 {
 				break
@@ -349,7 +403,7 @@ func TestPropertyAssignForwardFeasible(t *testing.T) {
 			tx[u] = append(tx[u], phy.Interval{Start: start, End: start + 100*time.Millisecond})
 		}
 		var reqs []Request
-		demand := map[frame.UserID]int{}
+		var demand [frame.UserIDs]int
 		for i, d := range demandRaw {
 			u := frame.UserID(i)
 			n := int(d % 5)
@@ -359,7 +413,7 @@ func TestPropertyAssignForwardFeasible(t *testing.T) {
 			}
 		}
 		got := AssignForward(reqs, ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: 0})
-		counts := map[frame.UserID]int{}
+		var counts [frame.UserIDs]int
 		for i, u := range got {
 			if u == frame.NoUser {
 				continue

@@ -154,7 +154,7 @@ func ExpectedFragments(dist SizeDist, payload int) float64 {
 	}
 	switch d := dist.(type) {
 	case Fixed:
-		return float64(fragCount(d.Bytes, payload))
+		return float64(FragCount(d.Bytes, payload))
 	case Uniform:
 		lo, hi := d.Min, d.Max
 		if hi < lo {
@@ -162,7 +162,7 @@ func ExpectedFragments(dist SizeDist, payload int) float64 {
 		}
 		total := 0
 		for s := lo; s <= hi; s++ {
-			total += fragCount(s, payload)
+			total += FragCount(s, payload)
 		}
 		return float64(total) / float64(hi-lo+1)
 	default:
@@ -171,7 +171,9 @@ func ExpectedFragments(dist SizeDist, payload int) float64 {
 	}
 }
 
-func fragCount(size, payload int) int {
+// FragCount returns the number of payload-byte fragments a message of
+// size bytes needs; an empty message still takes one.
+func FragCount(size, payload int) int {
 	if size <= 0 {
 		return 1
 	}

@@ -259,10 +259,10 @@ func TestInterarrivalForSlots(t *testing.T) {
 }
 
 func TestFragCountEdge(t *testing.T) {
-	if fragCount(0, 41) != 1 || fragCount(-5, 41) != 1 {
+	if FragCount(0, 41) != 1 || FragCount(-5, 41) != 1 {
 		t.Fatal("non-positive sizes should count one fragment")
 	}
-	if fragCount(41, 41) != 1 || fragCount(42, 41) != 2 {
+	if FragCount(41, 41) != 1 || FragCount(42, 41) != 2 {
 		t.Fatal("boundary fragment counts wrong")
 	}
 }
